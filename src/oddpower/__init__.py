@@ -7,7 +7,7 @@ derivatives on the diagonal is the ordinary derivative (2y+1) x^(2y).
 """
 
 from .bipoly import BiPoly, X, Z
-from .coefficients import CoeffVector, InconsistencyError, solve_coeffs, verify_identity
+from .coefficients import CoeffVector, solve_coeffs, verify_identity
 from .engine import (
     IdentityReport,
     build_poly,
@@ -19,7 +19,7 @@ from .engine import (
 )
 from .fixtures import Fixture, load_fixtures
 from .parsing import PolyParseError, UnknownVariableError, parse_poly
-from .powersums import conv_sum, power_sum, shift_z
+from .powersums import conv_sum, power_sum
 from .rationals import Rational, bernoulli, binomial
 from .rendering import render
 
@@ -30,7 +30,6 @@ __all__ = [
     "X",
     "Z",
     "CoeffVector",
-    "InconsistencyError",
     "solve_coeffs",
     "verify_identity",
     "IdentityReport",
@@ -47,7 +46,6 @@ __all__ = [
     "parse_poly",
     "conv_sum",
     "power_sum",
-    "shift_z",
     "Rational",
     "bernoulli",
     "binomial",

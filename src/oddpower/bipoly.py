@@ -9,8 +9,9 @@ Canonical term order, used for iteration and rendering: ascending total
 degree, ties broken by ascending z-degree.  For two variables this is a
 total order on exponent pairs, so output is deterministic.
 
-Coefficients may be given as ``int`` or ``Rational``; anything else (in
-particular ``float``) is rejected to preserve exactness.
+Degrees must be ``int`` and coefficients ``int`` or ``Rational``; anything
+else (in particular ``float`` and ``bool``) raises ``TypeError``, to
+preserve exactness.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ CoefficientLike = Union[int, Rational]
 def _as_rational(value: CoefficientLike) -> Rational:
     if isinstance(value, Rational):
         return value
-    if isinstance(value, int):
+    if type(value) is int:  # not isinstance: bool is an int subclass
         return Rational(value)
     raise TypeError(f"coefficients must be int or Rational, got {type(value).__name__}")
 
@@ -51,9 +52,11 @@ class BiPoly:
         items = terms.items() if isinstance(terms, Mapping) else terms
         combined: dict[MonomialKey, Rational] = {}
         for (deg_x, deg_z), coeff in items:
+            if type(deg_x) is not int or type(deg_z) is not int:  # bool is an int subclass
+                raise TypeError(f"degrees must be int, got ({deg_x!r}, {deg_z!r})")
             if deg_x < 0 or deg_z < 0:
                 raise ValueError(f"degrees must be non-negative, got ({deg_x}, {deg_z})")
-            key = (int(deg_x), int(deg_z))
+            key = (deg_x, deg_z)
             total = combined.get(key, _ZERO) + _as_rational(coeff)
             if total:
                 combined[key] = total
@@ -245,7 +248,7 @@ class BiPoly:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, BiPoly):
             return self._terms == other._terms
-        if isinstance(other, (int, Rational)):
+        if type(other) is int or isinstance(other, Rational):
             return self._terms == BiPoly.constant(other)._terms
         return NotImplemented
 

@@ -9,13 +9,16 @@ Subcommands:
     oracle <m> [--max-n N]    literal integer summation check of the expansion
 
 Exit codes: 0 success / all checks pass, 1 a verification failed, 2 usage or
-parse error.  Orders above 64 are refused unless --allow-large is given, to
-keep accidental runtimes in check.
+parse error, 141 stdout was closed before the output was written (as in
+``oddpower poly 64 | head``; nothing is printed to stderr).  Orders above 64
+are refused unless --allow-large is given, to keep accidental runtimes in
+check.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import engine
@@ -24,6 +27,7 @@ from .rationals import Rational
 from .rendering import FORMATS, coeff_vector_json, render
 
 MAX_ORDER = 64
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer killed by the signal
 
 
 def _nonneg_int(text: str) -> int:
@@ -103,6 +107,16 @@ def _order_of(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        return _run(argv)
+    except BrokenPipeError:
+        # The reader has gone away.  Point stdout at devnull so that the
+        # interpreter's final flush does not report the same error again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

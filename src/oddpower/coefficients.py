@@ -4,11 +4,12 @@ For each order m there is a unique row A_0..A_m of rationals such that
 
     sum_{k=1..n} sum_{r=0..m} A_r * k^r * (n-k)^r  =  n^(2m+1)
 
-holds for every positive integer n.  ``solve_coeffs`` derives the row
-directly from that identity by triangular elimination, and
-``verify_identity`` checks it the hard way, by literal summation with exact
-integer arithmetic and no polynomial machinery at all.  The two routes are
-deliberately independent of each other.
+holds for every positive integer n.  ``solve_coeffs`` computes the row from
+Kolosov's closed Bernoulli recurrence, top entry first, with no polynomial
+arithmetic at all; the tests check it against triangular elimination over
+the diagonals of the convolved sums.  ``verify_identity`` checks a row the
+hard way, by literal summation with exact integer arithmetic.  The two
+routes are deliberately independent of each other.
 """
 
 from __future__ import annotations
@@ -16,19 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bipoly import BiPoly
-from .powersums import conv_sum
-from .rationals import Rational
+from .rationals import Rational, bernoulli, binomial
 
-__all__ = ["CoeffVector", "InconsistencyError", "solve_coeffs", "verify_identity"]
-
-
-class InconsistencyError(ArithmeticError):
-    """The triangular solve left a nonzero residual.
-
-    The expansion identity guarantees a consistent system, so this firing
-    means a bug in the polynomial machinery, not bad input.
-    """
+__all__ = ["CoeffVector", "solve_coeffs", "verify_identity"]
 
 
 @dataclass(frozen=True)
@@ -54,28 +45,26 @@ class CoeffVector:
 
 @lru_cache(maxsize=None)
 def solve_coeffs(m: int) -> CoeffVector:
-    """Solve for the unique row making the odd-power expansion an identity.
+    """The unique row making the odd-power expansion an identity.
 
-    Let D_r(n) = conv_sum(r) on the diagonal z = x, an odd polynomial of
-    degree 2r + 1.  The rows are found top-down: for r = m, m-1, ..., 0 read
-    A_r off the n^(2r+1) coefficient of the remaining residual (divided by
-    the leading coefficient of D_r) and subtract A_r * D_r.  Even-degree
-    coefficients must cancel on their own; after r = 0 the residual has to
-    vanish identically or the solve raises :class:`InconsistencyError`.
+    Top entry A_m = (2m+1) * C(2m, m); below it, for r = m-1, ..., 0,
+
+        A_r = (2r+1) * C(2r, r) * sum_{d=2r+1..m} A_d * C(d, 2r+1)
+                                    * (-1)^(d-1) * B_{2d-2r} / (d-r)
+
+    so A_r = 0 whenever 2r + 1 > m.  Exact rationals throughout.
     """
     if m < 0:
         raise ValueError(f"m must be non-negative, got {m}")
-    diagonals = [conv_sum(r).diagonal() for r in range(m + 1)]
-    residual = BiPoly.monomial(2 * m + 1, 0)
     values: list[Rational] = [Rational(0)] * (m + 1)
-    for r in range(m, -1, -1):
-        lead = diagonals[r].coefficient(2 * r + 1, 0)
-        a = residual.coefficient(2 * r + 1, 0) / lead
-        values[r] = a
-        if a:
-            residual = residual - diagonals[r] * a
-    if residual:
-        raise InconsistencyError(f"nonzero residual after solving order {m}: {residual}")
+    values[m] = Rational((2 * m + 1) * binomial(2 * m, m))
+    for r in range(m - 1, -1, -1):
+        total = Rational(0)
+        for d in range(2 * r + 1, m + 1):
+            if values[d]:
+                term = values[d] * binomial(d, 2 * r + 1) * bernoulli(2 * d - 2 * r) / (d - r)
+                total += term if d % 2 else -term
+        values[r] = (2 * r + 1) * binomial(2 * r, r) * total
     return CoeffVector(m, tuple(values))
 
 

@@ -1,22 +1,27 @@
 """Build the expansion polynomial family and verify its derivative identity.
 
 ``build_poly(y)`` assembles the two-variable polynomial whose diagonal
-z = x collapses to the odd power x^(2y+1).  The central fact checked here
+z = x collapses to the odd power x^(2y+1).  It expands each convolved sum
+H_r into power sums, so every x-degree row of f_y is a sum of scaled
+Faulhaber polynomials in z, added up as integer numerators over one common
+denominator; no bivariate product is formed.  The central fact checked here
 is that the sum of its two partial derivatives, restricted to the diagonal,
 equals the ordinary derivative (2y+1) x^(2y) of that odd power.  All checks
 are symbolic zero-residual comparisons in exact arithmetic, which proves
-the identity for every real point at once rather than sampling it.
+the identity for every real point at once rather than sampling it, and the
+diagonal check certifies the coefficient row and the assembly together.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lcm
 
-from .bipoly import BiPoly
+from .bipoly import BiPoly, _from_canonical
 from .coefficients import solve_coeffs
-from .powersums import conv_sum
-from .rationals import Rational
+from .powersums import power_sum
+from .rationals import Rational, binomial
 
 __all__ = [
     "IdentityReport",
@@ -48,19 +53,51 @@ class IdentityReport:
     holds: bool
 
 
+# p -> (power_sum(p), denominator, numerators by z-degree).  Entries are
+# checked against power_sum's own cache, so clearing that cache drops them too.
+_POWER_SUM_INTS: dict[int, tuple[BiPoly, int, tuple[int, ...]]] = {}
+
+
+def _power_sum_ints(p: int) -> tuple[int, tuple[int, ...]]:
+    """power_sum(p) as integer numerators over their least common denominator."""
+    poly = power_sum(p)
+    entry = _POWER_SUM_INTS.get(p)
+    if entry is None or entry[0] is not poly:
+        coeffs = [poly.coefficient(0, k) for k in range(p + 2)]
+        den = lcm(*(c.denominator for c in coeffs))
+        nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        entry = _POWER_SUM_INTS[p] = (poly, den, nums)
+    return entry[1], entry[2]
+
+
 @lru_cache(maxsize=None)
 def build_poly(y: int) -> BiPoly:
-    """The y-th member of the family: sum_r A_r * conv_sum(r).
+    """The y-th member of the family, sum_r A_r * conv_sum(r), assembled as
 
-    Degree 2y + 1 in z and y in x; on the diagonal z = x it equals
-    x^(2y+1) exactly.
+        [x^i z^k] f_y = sum_{r=i..y} A_r * C(r, i) * (-1)^(r-i) * [z^k] S_{2r-i}(z)
+
+    with S_p = power_sum(p).  Degree 2y + 1 in z and y in x; on the
+    diagonal z = x it equals x^(2y+1) exactly.
     """
     row = solve_coeffs(y)
-    acc = BiPoly.zero()
-    for r, a in enumerate(row):
-        if a:
-            acc = acc + conv_sum(r) * a
-    return acc
+    terms: dict[tuple[int, int], Rational] = {}
+    for i in range(y + 1):
+        # Longest power sum first (r = y, and A_y is never zero), so each
+        # later one adds into a prefix of the accumulator.
+        parts = []
+        for r in range(y, i - 1, -1):
+            a = row[r]
+            if a:
+                den, nums = _power_sum_ints(2 * r - i)
+                sign = -1 if (r - i) % 2 else 1
+                parts.append((sign * a.numerator * binomial(r, i), a.denominator * den, nums))
+        common = lcm(*(den for _, den, _ in parts))
+        acc = [0] * len(parts[0][2])
+        for num, den, nums in parts:
+            factor = num * (common // den)
+            acc[: len(nums)] = [t + factor * n for t, n in zip(acc, nums)]
+        terms.update({(i, k): Rational(t, common) for k, t in enumerate(acc) if t})
+    return _from_canonical(terms)
 
 
 @lru_cache(maxsize=None)

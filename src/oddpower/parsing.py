@@ -120,17 +120,18 @@ class _Parser:
         return (deg_x, deg_z), coeff
 
     def parse_rational(self) -> Rational:
-        _, text, _ = self.advance()
-        value = Rational(int(text))
+        _, text, pos = self.advance()
+        value = Rational(_int(text, pos))
         if self.current[0] == "symbol" and self.current[1] == "/":
             self.advance()
             kind, den_text, den_pos = self.current
             if kind != "number":
                 raise self.fail("expected a denominator after '/'")
-            if int(den_text) == 0:
+            den = _int(den_text, den_pos)
+            if den == 0:
                 raise PolyParseError("zero denominator", den_pos)
             self.advance()
-            value /= int(den_text)
+            value /= den
         return value
 
     def parse_exponent(self) -> int:
@@ -140,10 +141,19 @@ class _Parser:
         kind, text, pos = self.current
         if kind != "number":
             raise self.fail("expected an exponent after '^'")
-        if int(text) == 0:
+        exponent = _int(text, pos)
+        if exponent == 0:
             raise PolyParseError("exponent must be a positive integer", pos)
         self.advance()
+        return exponent
+
+
+def _int(text: str, position: int) -> int:
+    try:
         return int(text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        message = f"integer literal of {len(text)} digits is too long"
+        raise PolyParseError(message, position) from None
 
 
 def parse_poly(text: str) -> BiPoly:

@@ -13,9 +13,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .bipoly import BiPoly
-from .rationals import Rational, bernoulli, binomial
+from .rationals import bernoulli, binomial
 
-__all__ = ["power_sum", "conv_sum", "shift_z"]
+__all__ = ["power_sum", "conv_sum"]
 
 
 @lru_cache(maxsize=None)
@@ -57,15 +57,3 @@ def conv_sum(r: int) -> BiPoly:
         sign = -1 if j % 2 else 1
         acc = acc + BiPoly.monomial(r - j, 0, sign * binomial(r, j)) * power_sum(r + j)
     return acc
-
-
-def shift_z(poly: BiPoly, offset: int | Rational) -> BiPoly:
-    """Substitute z -> z + offset, expanding each (z + offset)^d binomially."""
-    offset = Rational(offset)
-    out = BiPoly.zero()
-    for dx, dz, coeff in poly.terms():
-        expanded = {
-            (dx, k): coeff * binomial(dz, k) * offset ** (dz - k) for k in range(dz + 1)
-        }
-        out = out + BiPoly(expanded)
-    return out

@@ -1,8 +1,13 @@
-"""Shared test helpers: hand-entered reference polynomials and random generators.
+"""Shared test helpers: hand-entered reference polynomials, reference
+implementations and random generators.
 
 The F1/F2/F3 dicts are typed in term by term from the known closed forms,
 independently of both the builder and the bundled text corpus, so they can
 arbitrate between the two.
+
+``solve_coeffs_by_elimination`` and ``build_poly_from_conv_sums`` are the
+generic polynomial-algebra routes that the library's closed-form solver and
+direct builder replaced; the differential tests hold the two routes equal.
 """
 
 from __future__ import annotations
@@ -10,7 +15,9 @@ from __future__ import annotations
 import random
 
 from oddpower.bipoly import BiPoly
-from oddpower.rationals import Rational
+from oddpower.coefficients import solve_coeffs
+from oddpower.powersums import conv_sum
+from oddpower.rationals import Rational, binomial
 
 F1 = BiPoly({(1, 1): 3, (0, 2): -3, (1, 2): 3, (0, 3): -2})
 
@@ -69,3 +76,42 @@ def random_bipoly(
         key = (rng.randint(0, max_degree), rng.randint(0, max_degree))
         terms[key] = random_rational(rng, num_bound, den_bound)
     return BiPoly(terms)
+
+
+def solve_coeffs_by_elimination(m: int) -> list[Rational]:
+    """The row A_0..A_m by triangular elimination over the diagonals of H_r.
+
+    D_r = conv_sum(r) on z = x is an odd polynomial of degree 2r + 1.  For
+    r = m, ..., 0 read A_r off the x^(2r+1) coefficient of the residual
+    (over the leading coefficient of D_r) and subtract A_r * D_r; starting
+    from x^(2m+1), the residual must end at zero.
+    """
+    diagonals = [conv_sum(r).diagonal() for r in range(m + 1)]
+    residual = BiPoly.monomial(2 * m + 1, 0)
+    values = [Rational(0)] * (m + 1)
+    for r in range(m, -1, -1):
+        a = residual.coefficient(2 * r + 1, 0) / diagonals[r].coefficient(2 * r + 1, 0)
+        values[r] = a
+        residual = residual - diagonals[r] * a
+    assert residual.is_zero(), f"nonzero residual after solving order {m}: {residual}"
+    return values
+
+
+def build_poly_from_conv_sums(y: int) -> BiPoly:
+    """f_y as the bivariate sum of A_r * conv_sum(r)."""
+    acc = BiPoly.zero()
+    for r, a in enumerate(solve_coeffs(y)):
+        acc = acc + conv_sum(r) * a
+    return acc
+
+
+def shift_z(poly: BiPoly, offset: int | Rational) -> BiPoly:
+    """Substitute z -> z + offset, expanding each (z + offset)^d binomially."""
+    offset = Rational(offset)
+    out = BiPoly.zero()
+    for dx, dz, coeff in poly.terms():
+        expanded = {
+            (dx, k): coeff * binomial(dz, k) * offset ** (dz - k) for k in range(dz + 1)
+        }
+        out = out + BiPoly(expanded)
+    return out

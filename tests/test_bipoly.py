@@ -38,6 +38,14 @@ def test_negative_degrees_rejected():
         BiPoly({(-1, 0): 1})
 
 
+def test_non_int_degrees_and_bool_coefficients_rejected():
+    for bad in ({(1.5, 0): 1}, {(0, True): 1}, {(0, 0): True}):
+        with pytest.raises(TypeError):
+            BiPoly(bad)
+    with pytest.raises(TypeError):
+        X * True
+
+
 def test_float_coefficients_rejected():
     with pytest.raises(TypeError):
         BiPoly({(0, 0): 0.5})

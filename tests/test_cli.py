@@ -1,8 +1,11 @@
 """Command line behavior: output bytes, exit codes, guard rails."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -238,6 +241,26 @@ def test_bad_format_rejected(capsys):
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "poly", "--help")[0] == 0
+
+
+# -- closed pipe ----------------------------------------------------------
+
+
+def test_closed_stdout_exits_quietly():
+    # poly 64 prints ~430 kB, far more than a pipe buffers, so the write is
+    # still in progress when the reader goes away.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    with subprocess.Popen(
+        [sys.executable, "-m", "oddpower.cli", "poly", "64"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    ) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
+    assert stderr == b""
 
 
 # -- installed entry point ------------------------------------------------

@@ -3,9 +3,12 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import solve_coeffs_by_elimination
 from oddpower.bipoly import X
-from oddpower.coefficients import CoeffVector, InconsistencyError, solve_coeffs, verify_identity
+from oddpower.coefficients import CoeffVector, solve_coeffs, verify_identity
 from oddpower.powersums import conv_sum
 from oddpower.rationals import Rational, binomial
 
@@ -40,6 +43,17 @@ def test_row_reconstructs_odd_power_on_diagonal(m):
     row = solve_coeffs(m)
     combined = sum((a * conv_sum(r).diagonal() for r, a in enumerate(row)), X * 0)
     assert combined == X ** (2 * m + 1)
+
+
+def test_recurrence_matches_elimination():
+    for m in range(41):
+        assert list(solve_coeffs(m)) == solve_coeffs_by_elimination(m), m
+
+
+@settings(max_examples=5, deadline=None)
+@given(m=st.integers(0, 64))
+def test_recurrence_matches_elimination_to_order_64(m):
+    assert list(solve_coeffs(m)) == solve_coeffs_by_elimination(m)
 
 
 @pytest.mark.parametrize("m", range(7))
@@ -102,10 +116,6 @@ def test_solver_rejects_negative_order():
 def test_oracle_rejects_bad_bounds():
     with pytest.raises(ValueError):
         verify_identity(2, 0)
-
-
-def test_inconsistency_error_is_arithmetic_error():
-    assert issubclass(InconsistencyError, ArithmeticError)
 
 
 def test_solver_is_deterministic():

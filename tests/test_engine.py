@@ -3,8 +3,10 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import F1, F2, F3
+from helpers import F1, F2, F3, build_poly_from_conv_sums
 from oddpower.bipoly import X, Z
 from oddpower.coefficients import solve_coeffs
 from oddpower.engine import (
@@ -26,6 +28,17 @@ def test_first_three_members():
     assert build_poly(1) == F1
     assert build_poly(2) == F2
     assert build_poly(3) == F3
+
+
+def test_direct_assembly_matches_conv_sum_builder():
+    for y in range(41):
+        assert build_poly(y) == build_poly_from_conv_sums(y), y
+
+
+@settings(max_examples=5, deadline=None)
+@given(y=st.integers(0, 64))
+def test_direct_assembly_matches_conv_sum_builder_to_order_64(y):
+    assert build_poly(y) == build_poly_from_conv_sums(y)
 
 
 @pytest.mark.parametrize("y", range(8))

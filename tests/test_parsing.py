@@ -1,5 +1,7 @@
 """Plain-syntax polynomial parser: accepted forms, rejections, round-trips."""
 
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -106,6 +108,18 @@ def test_error_carries_position():
     with pytest.raises(PolyParseError) as excinfo:
         parse_poly("x ^ z")
     assert excinfo.value.position == 4
+
+
+_INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not _INT_DIGIT_LIMIT, reason="int() has no digit limit here")
+def test_overlong_integer_literal_is_a_parse_error():
+    digits = "1" * (_INT_DIGIT_LIMIT + 1)
+    for text, position in ((digits, 0), (f"x + 3/{digits}", 6), (f"z^{digits}", 2)):
+        with pytest.raises(PolyParseError) as excinfo:
+            parse_poly(text)
+        assert excinfo.value.position == position
 
 
 def test_error_hierarchy():

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import shift_z
 from oddpower.bipoly import X, Z
-from oddpower.powersums import conv_sum, power_sum, shift_z
+from oddpower.powersums import conv_sum, power_sum
 from oddpower.rationals import Rational
 
 
