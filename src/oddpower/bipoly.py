@@ -24,6 +24,7 @@ __all__ = ["BiPoly", "MonomialKey", "X", "Z"]
 
 MonomialKey = tuple[int, int]
 CoefficientLike = Union[int, Rational]
+_Terms = dict[MonomialKey, Rational]
 
 
 def _as_rational(value: CoefficientLike) -> Rational:
@@ -50,19 +51,14 @@ class BiPoly:
         | Iterable[tuple[MonomialKey, CoefficientLike]] = (),
     ):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        combined: dict[MonomialKey, Rational] = {}
+        checked: list[tuple[MonomialKey, Rational]] = []
         for (deg_x, deg_z), coeff in items:
             if type(deg_x) is not int or type(deg_z) is not int:  # bool is an int subclass
                 raise TypeError(f"degrees must be int, got ({deg_x!r}, {deg_z!r})")
             if deg_x < 0 or deg_z < 0:
                 raise ValueError(f"degrees must be non-negative, got ({deg_x}, {deg_z})")
-            key = (deg_x, deg_z)
-            total = combined.get(key, _ZERO) + _as_rational(coeff)
-            if total:
-                combined[key] = total
-            elif key in combined:
-                del combined[key]
-        self._terms = combined
+            checked.append(((deg_x, deg_z), _as_rational(coeff)))
+        self._terms = _collect(checked)
         self._sorted: list[MonomialKey] | None = None
         self._hash: int | None = None
 
@@ -133,14 +129,7 @@ class BiPoly:
                 other = BiPoly.constant(_as_rational(other))
             except TypeError:
                 return NotImplemented
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            total = out.get(key, _ZERO) + coeff
-            if total:
-                out[key] = total
-            elif key in out:
-                del out[key]
-        return _from_canonical(out)
+        return _from_canonical(_collect(other._terms.items(), dict(self._terms)))
 
     __radd__ = __add__
 
@@ -167,21 +156,17 @@ class BiPoly:
             if not scalar:
                 return BiPoly.zero()
             return _from_canonical({key: coeff * scalar for key, coeff in self._terms.items()})
-        out: dict[MonomialKey, Rational] = {}
-        for (ax, az), ac in self._terms.items():
-            for (bx, bz), bc in other._terms.items():
-                key = (ax + bx, az + bz)
-                total = out.get(key, _ZERO) + ac * bc
-                if total:
-                    out[key] = total
-                elif key in out:
-                    del out[key]
-        return _from_canonical(out)
+        products = (
+            ((ax + bx, az + bz), ac * bc)
+            for (ax, az), ac in self._terms.items()
+            for (bx, bz), bc in other._terms.items()
+        )
+        return _from_canonical(_collect(products))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> BiPoly:
-        if not isinstance(exponent, int):
+        if type(exponent) is not int:  # not isinstance: bool is an int subclass
             raise TypeError("exponent must be an int")
         if exponent < 0:
             raise ValueError("exponent must be non-negative")
@@ -200,19 +185,12 @@ class BiPoly:
 
     def diff(self, var: str) -> BiPoly:
         """Exact partial derivative with respect to ``"x"`` or ``"z"``."""
-        if var not in ("x", "z"):
-            raise ValueError(f"var must be 'x' or 'z', got {var!r}")
-        out: dict[MonomialKey, Rational] = {}
-        for (dx, dz), coeff in self._terms.items():
-            if var == "x":
-                if dx == 0:
-                    continue
-                out[(dx - 1, dz)] = coeff * dx
-            else:
-                if dz == 0:
-                    continue
-                out[(dx, dz - 1)] = coeff * dz
-        return _from_canonical(out)
+        items = self._terms.items()
+        if var == "x":
+            return _from_canonical({(dx - 1, dz): c * dx for (dx, dz), c in items if dx})
+        if var == "z":
+            return _from_canonical({(dx, dz - 1): c * dz for (dx, dz), c in items if dz})
+        raise ValueError(f"var must be 'x' or 'z', got {var!r}")
 
     def __call__(self, x_val: CoefficientLike, z_val: CoefficientLike) -> Rational:
         """Exact value at (x_val, z_val)."""
@@ -233,15 +211,7 @@ class BiPoly:
 
     def diagonal(self) -> BiPoly:
         """Substitute z = x: every term (i, j) collapses to degree i + j in x."""
-        out: dict[MonomialKey, Rational] = {}
-        for (dx, dz), coeff in self._terms.items():
-            key = (dx + dz, 0)
-            total = out.get(key, _ZERO) + coeff
-            if total:
-                out[key] = total
-            elif key in out:
-                del out[key]
-        return _from_canonical(out)
+        return _from_canonical(_collect(((dx + dz, 0), c) for (dx, dz), c in self._terms.items()))
 
     # -- comparison and display -------------------------------------------
 
@@ -264,31 +234,53 @@ class BiPoly:
         return self._hash
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts: list[str] = []
-        for dx, dz, coeff in self.terms():
-            sign = "-" if coeff < 0 else "+"
-            magnitude = -coeff if coeff < 0 else coeff
-            factors: list[str] = []
-            if magnitude != 1 or (dx == 0 and dz == 0):
-                factors.append(str(magnitude))
-            if dx:
-                factors.append("x" if dx == 1 else f"x^{dx}")
-            if dz:
-                factors.append("z" if dz == 1 else f"z^{dz}")
-            body = " ".join(factors)
-            if not parts:
-                parts.append(body if sign == "+" else f"-{body}")
-            else:
-                parts.append(f"{sign} {body}")
-        return " ".join(parts)
+        return _format_terms(self, "{}/{}", "{}^{}")
 
     def __repr__(self) -> str:
         return f"BiPoly({str(self)!r})"
 
 
-def _from_canonical(terms: dict[MonomialKey, Rational]) -> BiPoly:
+def _collect(pairs: Iterable[tuple[MonomialKey, Rational]], out: _Terms | None = None) -> _Terms:
+    """Add ``(monomial, coefficient)`` pairs into ``out`` (a new dict by
+    default), dropping every monomial whose sum is zero."""
+    if out is None:
+        out = {}
+    for key, coeff in pairs:
+        prev = out.get(key)
+        total = coeff if prev is None else prev + coeff
+        if total:
+            out[key] = total
+        elif prev is not None:
+            del out[key]
+    return out
+
+
+def _format_terms(poly: BiPoly, fraction: str, power: str) -> str:
+    """Join ``poly``'s signed terms in canonical order; the format strings
+    ``fraction`` (numerator, denominator) and ``power`` (variable, exponent)
+    spell non-integer magnitudes and exponents above one."""
+    parts: list[str] = []
+    for dx, dz, coeff in poly.terms():
+        num, den = coeff.numerator, coeff.denominator
+        negative = num < 0
+        if negative:
+            num = -num
+        factors: list[str] = []
+        if num != den or not (dx or dz):
+            factors.append(str(num) if den == 1 else fraction.format(num, den))
+        if dx:
+            factors.append("x" if dx == 1 else power.format("x", dx))
+        if dz:
+            factors.append("z" if dz == 1 else power.format("z", dz))
+        body = " ".join(factors)
+        if parts:
+            parts.append(f"- {body}" if negative else f"+ {body}")
+        else:
+            parts.append(f"-{body}" if negative else body)
+    return " ".join(parts) or "0"
+
+
+def _from_canonical(terms: _Terms) -> BiPoly:
     """Wrap a dict that is already zero-free without re-normalizing."""
     poly = BiPoly.__new__(BiPoly)
     poly._terms = terms

@@ -13,6 +13,11 @@ plain whitespace, and whitespace is otherwise insignificant::
 Malformed input raises :class:`PolyParseError` carrying the zero-based
 offset of the offending token; an identifier other than x or z raises the
 more specific :class:`UnknownVariableError`.
+
+A term whose degree in x or in z exceeds :data:`MAX_DEGREE` is refused at
+the variable that crosses the bound, so no input can ask for unbounded
+big-integer work when the result is evaluated or multiplied.  The bound keeps
+every family member ``f_y`` with ``y <= 4999`` (degree ``2y + 1``) parseable.
 """
 
 from __future__ import annotations
@@ -22,7 +27,9 @@ import re
 from .bipoly import BiPoly
 from .rationals import Rational
 
-__all__ = ["parse_poly", "PolyParseError", "UnknownVariableError"]
+__all__ = ["parse_poly", "PolyParseError", "UnknownVariableError", "MAX_DEGREE"]
+
+MAX_DEGREE = 10_000
 
 
 class PolyParseError(ValueError):
@@ -108,6 +115,8 @@ class _Parser:
                     deg_x += exponent
                 else:
                     deg_z += exponent
+                if max(deg_x, deg_z) > MAX_DEGREE:
+                    raise PolyParseError(f"degree in {text} exceeds {MAX_DEGREE}", pos)
             elif first:
                 raise self.fail("expected a term" if kind == "end" else f"expected a term, found {text!r}")
             else:

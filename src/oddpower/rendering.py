@@ -15,8 +15,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Literal
 
-from .bipoly import BiPoly
-from .rationals import Rational
+from .bipoly import BiPoly, _format_terms
 
 if TYPE_CHECKING:
     from .coefficients import CoeffVector
@@ -54,33 +53,9 @@ def render_plain(poly: BiPoly) -> str:
     return str(poly)
 
 
-def _latex_magnitude(value: Rational) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return rf"\frac{{{value.numerator}}}{{{value.denominator}}}"
-
-
 def render_latex(poly: BiPoly) -> str:
     """LaTeX source with braced exponents and ``\\frac`` coefficients."""
-    if poly.is_zero():
-        return "0"
-    parts: list[str] = []
-    for dx, dz, coeff in poly.terms():
-        sign = "-" if coeff < 0 else "+"
-        magnitude = -coeff if coeff < 0 else coeff
-        factors: list[str] = []
-        if magnitude != 1 or (dx == 0 and dz == 0):
-            factors.append(_latex_magnitude(magnitude))
-        if dx:
-            factors.append("x" if dx == 1 else f"x^{{{dx}}}")
-        if dz:
-            factors.append("z" if dz == 1 else f"z^{{{dz}}}")
-        body = " ".join(factors)
-        if not parts:
-            parts.append(body if sign == "+" else f"-{body}")
-        else:
-            parts.append(f"{sign} {body}")
-    return " ".join(parts)
+    return _format_terms(poly, r"\frac{{{}}}{{{}}}", "{}^{{{}}}")
 
 
 def poly_terms(poly: BiPoly) -> list[dict]:

@@ -8,6 +8,8 @@ arbitrate between the two.
 ``solve_coeffs_by_elimination`` and ``build_poly_from_conv_sums`` are the
 generic polynomial-algebra routes that the library's closed-form solver and
 direct builder replaced; the differential tests hold the two routes equal.
+``render_plain_reference`` and ``render_latex_reference`` are the two
+separate term-formatting loops that the shared formatter replaced.
 """
 
 from __future__ import annotations
@@ -115,3 +117,55 @@ def shift_z(poly: BiPoly, offset: int | Rational) -> BiPoly:
         }
         out = out + BiPoly(expanded)
     return out
+
+
+def render_plain_reference(poly: BiPoly) -> str:
+    """Plain text, formatted term by term with Fraction arithmetic."""
+    if poly.is_zero():
+        return "0"
+    parts: list[str] = []
+    for dx, dz, coeff in poly.terms():
+        sign = "-" if coeff < 0 else "+"
+        magnitude = -coeff if coeff < 0 else coeff
+        factors: list[str] = []
+        if magnitude != 1 or (dx == 0 and dz == 0):
+            factors.append(str(magnitude))
+        if dx:
+            factors.append("x" if dx == 1 else f"x^{dx}")
+        if dz:
+            factors.append("z" if dz == 1 else f"z^{dz}")
+        body = " ".join(factors)
+        if not parts:
+            parts.append(body if sign == "+" else f"-{body}")
+        else:
+            parts.append(f"{sign} {body}")
+    return " ".join(parts)
+
+
+def _latex_magnitude(value: Rational) -> str:
+    if value.denominator == 1:
+        return str(value.numerator)
+    return rf"\frac{{{value.numerator}}}{{{value.denominator}}}"
+
+
+def render_latex_reference(poly: BiPoly) -> str:
+    """LaTeX, formatted term by term with Fraction arithmetic."""
+    if poly.is_zero():
+        return "0"
+    parts: list[str] = []
+    for dx, dz, coeff in poly.terms():
+        sign = "-" if coeff < 0 else "+"
+        magnitude = -coeff if coeff < 0 else coeff
+        factors: list[str] = []
+        if magnitude != 1 or (dx == 0 and dz == 0):
+            factors.append(_latex_magnitude(magnitude))
+        if dx:
+            factors.append("x" if dx == 1 else f"x^{{{dx}}}")
+        if dz:
+            factors.append("z" if dz == 1 else f"z^{{{dz}}}")
+        body = " ".join(factors)
+        if not parts:
+            parts.append(body if sign == "+" else f"-{body}")
+        else:
+            parts.append(f"{sign} {body}")
+    return " ".join(parts)

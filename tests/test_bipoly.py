@@ -25,6 +25,7 @@ def test_zero_terms_dropped():
 def test_duplicate_keys_accumulate():
     poly = BiPoly([((1, 0), 2), ((1, 0), 3), ((0, 1), 1), ((0, 1), -1)])
     assert poly == BiPoly({(1, 0): 5})
+    assert BiPoly([((1, 0), 1), ((1, 0), -1), ((1, 0), 2)]) == 2 * X
 
 
 def test_zero_polynomial_is_empty_map():
@@ -104,6 +105,11 @@ def test_pow_rejects_negative_and_nonint():
         X ** (-1)
     with pytest.raises(TypeError):
         X ** "2"
+    for exponent in (True, False):
+        with pytest.raises(TypeError):
+            X**exponent
+        with pytest.raises(TypeError):
+            (X + 1) ** exponent
 
 
 def test_scalar_arithmetic():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import F1
 from oddpower.bipoly import BiPoly, X, Z
-from oddpower.parsing import PolyParseError, UnknownVariableError, parse_poly
+from oddpower.parsing import MAX_DEGREE, PolyParseError, UnknownVariableError, parse_poly
 from oddpower.rationals import Rational
 
 
@@ -117,6 +117,21 @@ _INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 def test_overlong_integer_literal_is_a_parse_error():
     digits = "1" * (_INT_DIGIT_LIMIT + 1)
     for text, position in ((digits, 0), (f"x + 3/{digits}", 6), (f"z^{digits}", 2)):
+        with pytest.raises(PolyParseError) as excinfo:
+            parse_poly(text)
+        assert excinfo.value.position == position
+
+
+def test_degree_bound():
+    assert parse_poly(f"x^{MAX_DEGREE}") == X**MAX_DEGREE
+    assert parse_poly("x^10000 z^10000") == BiPoly.monomial(10000, 10000)
+    for text, position in (
+        ("x^10001", 0),
+        ("x^6000 x^6000", 7),
+        ("x^9000 x^9000 x^9000", 7),
+        ("x^99999999999 z^3", 0),
+        ("1 + z x z^10000", 8),
+    ):
         with pytest.raises(PolyParseError) as excinfo:
             parse_poly(text)
         assert excinfo.value.position == position

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import F1, SUM1
+from helpers import F1, SUM1, render_latex_reference, render_plain_reference
 from oddpower.bipoly import BiPoly, X, Z
 from oddpower.coefficients import solve_coeffs
 from oddpower.engine import check_derivative_identity
@@ -138,3 +138,23 @@ def test_json_round_trip(poly):
 def test_rendering_is_deterministic(poly):
     for fmt in FORMATS:
         assert render(poly, fmt) == render(poly, fmt)
+
+
+# Unit magnitudes, integers and fractions of either sign, so every branch of
+# the term formatter (omitted 1, bare integer, fraction, leading minus) runs;
+# small numerators over small denominators supply ±1 and ±1/d often.
+mixed_coefficients = st.one_of(
+    st.sampled_from([1, -1, Rational(1), Rational(-1)]),
+    st.builds(Rational, st.integers(-4, 4), st.integers(1, 6)),
+    st.integers(-10**4, 10**4),
+    st.fractions(min_value=-100, max_value=100, max_denominator=50),
+)
+mixed_bipolys = st.lists(
+    st.tuples(st.tuples(st.integers(0, 12), st.integers(0, 12)), mixed_coefficients), max_size=8
+).map(BiPoly)
+
+
+@given(poly=mixed_bipolys)
+def test_renders_match_reference_formatters(poly):
+    assert render_plain(poly) == render_plain_reference(poly)
+    assert render_latex(poly) == render_latex_reference(poly)
