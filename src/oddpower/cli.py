@@ -10,9 +10,9 @@ Subcommands:
 
 Exit codes: 0 success / all checks pass, 1 a verification failed, 2 usage or
 parse error, 141 stdout was closed before the output was written (as in
-``oddpower poly 64 | head``; nothing is printed to stderr).  Orders above 64
-are refused unless --allow-large is given, to keep accidental runtimes in
-check.
+``oddpower poly 64 | head``; nothing is printed to stderr).  Orders above 64,
+and oracle ranges --max-n above 1000, are refused unless --allow-large is
+given, to keep accidental runtimes in check.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .rationals import Rational
 from .rendering import FORMATS, coeff_vector_json, render
 
 MAX_ORDER = 64
+MAX_SAMPLES = 1000  # oracle --max-n; the literal double sum costs about n_max^2 / 2 steps
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer killed by the signal
 
 
@@ -125,14 +126,17 @@ def _run(argv: list[str] | None) -> int:
         # usage errors' exit 2 into the return value.
         return int(exc.code or 0)
 
-    order = _order_of(args)
-    if order > MAX_ORDER and not args.allow_large:
-        print(
-            f"error: order {order} exceeds the soft limit {MAX_ORDER}; "
-            "pass --allow-large to override",
-            file=sys.stderr,
-        )
-        return 2
+    limits = [("order", _order_of(args), MAX_ORDER)]
+    if args.command == "oracle":
+        limits.append(("--max-n", args.max_n, MAX_SAMPLES))
+    for what, value, limit in limits:
+        if value > limit and not args.allow_large:
+            print(
+                f"error: {what} {value} exceeds the soft limit {limit}; "
+                "pass --allow-large to override",
+                file=sys.stderr,
+            )
+            return 2
 
     if args.command == "coeffs":
         row = solve_coeffs(args.m)

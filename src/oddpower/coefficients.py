@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lcm
 
 from .rationals import Rational, bernoulli, binomial
 
@@ -71,14 +72,17 @@ def solve_coeffs(m: int) -> CoeffVector:
 def verify_identity(m: int, n_max: int) -> bool:
     """Check the expansion literally for every n in 1..n_max.
 
-    Computes sum_{k=1..n} sum_{r} A_r * (k(n-k))^r by direct summation, with
-    plain integers wherever the solved row is integral, and compares against
-    n^(2m+1).  Returns False on the first mismatch; no polynomial code is
-    involved, so this is an independent oracle for the solver.
+    Computes sum_{k=1..n} sum_{r} D*A_r * (k(n-k))^r by direct summation and
+    compares against D * n^(2m+1), where D is the lcm of the row's
+    denominators, so every operation is on plain integers.  Returns False on
+    the first mismatch; no polynomial code is involved, so this is an
+    independent oracle for the solver.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
-    row = [a.numerator if a.denominator == 1 else a for a in solve_coeffs(m).values]
+    values = solve_coeffs(m).values
+    den = lcm(*(a.denominator for a in values))
+    row = [a.numerator * (den // a.denominator) for a in values]
     for n in range(1, n_max + 1):
         total = 0
         for k in range(1, n + 1):
@@ -87,6 +91,6 @@ def verify_identity(m: int, n_max: int) -> bool:
             for a in reversed(row):
                 inner = inner * base + a
             total += inner
-        if total != n ** (2 * m + 1):
+        if total != den * n ** (2 * m + 1):
             return False
     return True

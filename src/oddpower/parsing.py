@@ -44,117 +44,18 @@ class UnknownVariableError(PolyParseError):
     """An identifier that is neither x nor z."""
 
 
-_TOKEN_RE = re.compile(
-    r"(?P<number>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<symbol>[-+*/^])|(?P<junk>\S)"
+# A character that starts no token, reported before any syntax error.
+_JUNK_RE = re.compile(r"[^\s\dA-Za-z_*/^+-]")
+
+# One factor, operator or the end after optional whitespace; errors report
+# the start of group 1.  The whitespace after ``/`` and ``^`` is consumed, so a
+# missing operand is reported at ``match.end()``, the next token or the end.
+# ``\Z`` is the end of the text; ``$`` would also match before a final newline.
+_FACTOR_RE = re.compile(
+    r"\s*((\d+)(?:\s*(/)\s*(\d+)?)?"
+    r"|([A-Za-z_][A-Za-z0-9_]*)(?:\s*(\^)\s*(\d+)?)?"
+    r"|([-+*/^])|\Z)"
 )
-
-_END = ("end", "", -1)
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        if kind == "junk":
-            raise PolyParseError(f"unexpected character {match.group()!r}", match.start())
-        tokens.append((kind, match.group(), match.start()))
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.index = 0
-
-    @property
-    def current(self) -> tuple[str, str, int]:
-        return self.tokens[self.index]
-
-    def advance(self) -> tuple[str, str, int]:
-        token = self.tokens[self.index]
-        self.index += 1
-        return token
-
-    def fail(self, message: str) -> PolyParseError:
-        return PolyParseError(message, self.current[2])
-
-    def parse(self) -> BiPoly:
-        terms: list[tuple[tuple[int, int], Rational]] = []
-        sign = self.parse_sign(optional=True)
-        while True:
-            terms.append(self.parse_term(sign))
-            if self.current[0] == "end":
-                break
-            sign = self.parse_sign(optional=False)
-        return BiPoly(terms)
-
-    def parse_sign(self, optional: bool) -> int:
-        kind, text, _ = self.current
-        if kind == "symbol" and text in "+-":
-            self.advance()
-            return -1 if text == "-" else 1
-        if optional:
-            return 1
-        raise self.fail(f"expected '+' or '-', found {text!r}")
-
-    def parse_term(self, sign: int) -> tuple[tuple[int, int], Rational]:
-        coeff = Rational(sign)
-        deg_x = deg_z = 0
-        first = True
-        while True:
-            kind, text, pos = self.current
-            if kind == "number":
-                coeff *= self.parse_rational()
-            elif kind == "name":
-                if text not in ("x", "z"):
-                    raise UnknownVariableError(f"unknown variable {text!r}", pos)
-                self.advance()
-                exponent = self.parse_exponent()
-                if text == "x":
-                    deg_x += exponent
-                else:
-                    deg_z += exponent
-                if max(deg_x, deg_z) > MAX_DEGREE:
-                    raise PolyParseError(f"degree in {text} exceeds {MAX_DEGREE}", pos)
-            elif first:
-                raise self.fail("expected a term" if kind == "end" else f"expected a term, found {text!r}")
-            else:
-                break
-            first = False
-            if self.current[0] == "symbol" and self.current[1] == "*":
-                self.advance()
-                if self.current[0] not in ("number", "name"):
-                    raise self.fail("expected a factor after '*'")
-        return (deg_x, deg_z), coeff
-
-    def parse_rational(self) -> Rational:
-        _, text, pos = self.advance()
-        value = Rational(_int(text, pos))
-        if self.current[0] == "symbol" and self.current[1] == "/":
-            self.advance()
-            kind, den_text, den_pos = self.current
-            if kind != "number":
-                raise self.fail("expected a denominator after '/'")
-            den = _int(den_text, den_pos)
-            if den == 0:
-                raise PolyParseError("zero denominator", den_pos)
-            self.advance()
-            value /= den
-        return value
-
-    def parse_exponent(self) -> int:
-        if not (self.current[0] == "symbol" and self.current[1] == "^"):
-            return 1
-        self.advance()
-        kind, text, pos = self.current
-        if kind != "number":
-            raise self.fail("expected an exponent after '^'")
-        exponent = _int(text, pos)
-        if exponent == 0:
-            raise PolyParseError("exponent must be a positive integer", pos)
-        self.advance()
-        return exponent
 
 
 def _int(text: str, position: int) -> int:
@@ -171,4 +72,58 @@ def parse_poly(text: str) -> BiPoly:
     Like terms are combined and the result is in canonical sparse form, so
     parsing is a left inverse of plain rendering.
     """
-    return _Parser(text).parse()
+    junk = _JUNK_RE.search(text)
+    if junk:
+        raise PolyParseError(f"unexpected character {junk.group()!r}", junk.start())
+    terms: list[tuple[tuple[int, int], Rational]] = []
+    # The current term: its signed coefficient num/den, and its degrees.
+    num, den, deg_x, deg_z = 1, 1, 0, 0
+    need = "term"  # what must come next: "term", "factor" (after '*') or None
+    offset = 0
+    while True:
+        match = _FACTOR_RE.match(text, offset)
+        pos, offset = match.start(1), match.end()
+        _, literal, slash, denominator, name, caret, exponent, op = match.groups()
+        if literal:
+            num *= _int(literal, pos)
+            if slash:
+                if denominator is None:
+                    raise PolyParseError("expected a denominator after '/'", offset)
+                value = _int(denominator, match.start(4))
+                if value == 0:
+                    raise PolyParseError("zero denominator", match.start(4))
+                den *= value
+            need = None
+        elif name:
+            if name not in ("x", "z"):
+                raise UnknownVariableError(f"unknown variable {name!r}", pos)
+            power = 1
+            if caret:
+                if exponent is None:
+                    raise PolyParseError("expected an exponent after '^'", offset)
+                power = _int(exponent, match.start(7))
+                if power == 0:
+                    raise PolyParseError("exponent must be a positive integer", match.start(7))
+            if name == "x":
+                deg_x += power
+            else:
+                deg_z += power
+            if max(deg_x, deg_z) > MAX_DEGREE:
+                raise PolyParseError(f"degree in {name} exceeds {MAX_DEGREE}", pos)
+            need = None
+        elif op in ("+", "-") and match.start() == 0:  # the sign of the first term
+            num = -1 if op == "-" else 1
+        elif need == "factor":
+            raise PolyParseError("expected a factor after '*'", pos)
+        elif need:
+            raise PolyParseError(f"expected a term, found {op!r}" if op else "expected a term", pos)
+        elif op == "*":
+            need = "factor"
+        else:  # '+', '-', another operator or the end closes the term
+            terms.append(((deg_x, deg_z), Rational(num, den)))
+            if op is None:
+                return BiPoly(terms)
+            if op not in ("+", "-"):
+                raise PolyParseError(f"expected '+' or '-', found {op!r}", pos)
+            num, den, deg_x, deg_z = (-1 if op == "-" else 1), 1, 0, 0
+            need = "term"

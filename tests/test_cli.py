@@ -220,6 +220,19 @@ def test_verify_guard_applies_to_max_y(capsys):
     assert "soft limit" in err
 
 
+def test_oracle_range_refused(capsys):
+    code, out, err = run(capsys, "oracle", "0", "--max-n", "1001")
+    assert code == 2
+    assert out == ""
+    assert "soft limit" in err and "--allow-large" in err
+
+
+def test_oracle_range_allowed_with_flag(capsys):
+    code, out, _ = run(capsys, "oracle", "0", "--max-n", "1001", "--allow-large")
+    assert code == 0
+    assert out == "m=0: PASS (n = 1..1001)\n"
+
+
 def test_no_subcommand_is_usage_error(capsys):
     assert run(capsys, )[0] == 2
 

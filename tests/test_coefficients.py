@@ -56,7 +56,7 @@ def test_recurrence_matches_elimination_to_order_64(m):
     assert list(solve_coeffs(m)) == solve_coeffs_by_elimination(m)
 
 
-@pytest.mark.parametrize("m", range(7))
+@pytest.mark.parametrize("m", [*range(7), 11, 12, 16])
 def test_integer_oracle(m):
     assert verify_identity(m, 25)
 

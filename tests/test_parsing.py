@@ -3,10 +3,10 @@
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import F1
+from helpers import F1, parse_poly_reference
 from oddpower.bipoly import BiPoly, X, Z
 from oddpower.parsing import MAX_DEGREE, PolyParseError, UnknownVariableError, parse_poly
 from oddpower.rationals import Rational
@@ -51,6 +51,7 @@ def test_unit_exponent_allowed():
 def test_leading_sign():
     assert parse_poly("-x") == -X
     assert parse_poly("+x") == X
+    assert parse_poly("x\n") == X
 
 
 def test_constants():
@@ -150,3 +151,34 @@ bipolys = st.dictionaries(exponent_pairs, coefficients, max_size=8).map(BiPoly)
 @given(poly=bipolys)
 def test_round_trip_through_plain_rendering(poly):
     assert parse_poly(str(poly)) == poly
+
+
+# Pieces of input for the differential test: names and literals, every
+# operator, whitespace, a Unicode digit, characters that start no token, a
+# degree near the bound and an integer literal past int()'s digit limit.
+_PIECES = [
+    *("x", "z", "y", "_a", "x2", "0", "2", "10", "00"),
+    *("/", "^", "*", "+", "-"),
+    *(" ", "\t", "\n"),
+    *("\u0663", "\u00e9", "$"),
+    *("x^6000", "1" * (max(_INT_DIGIT_LIMIT, 4300) + 1)),
+]
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except PolyParseError as exc:
+        return type(exc), str(exc), exc.position
+
+
+@settings(max_examples=500)
+@given(text=st.lists(st.sampled_from(_PIECES), max_size=12).map("".join))
+# Errors that random strings of the pieces above seldom reach.
+@example("x ^ 00 z")
+@example("2 / 0 x")
+@example("1/2 x^ \n")
+@example("z^6000 x z^6000")
+@example("x - 3 *\t+ z")
+def test_matches_reference_parser(text):
+    assert _outcome(parse_poly, text) == _outcome(parse_poly_reference, text)

@@ -1,0 +1,47 @@
+"""Dead-code guard: every module-level private name in the package is used.
+
+A private name (one leading underscore, not a dunder) defined at the top of a
+module under ``src/oddpower/`` by ``def``, ``class`` or assignment must be
+read somewhere in the package: as a name, as an attribute or in an import.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "oddpower"
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _defined(tree: ast.Module) -> list[str]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.extend(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return [name for name in names if _is_private(name)]
+
+
+def _used(tree: ast.Module) -> set[str]:
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+    return used
+
+
+def test_private_names_are_used():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    used = set().union(*(_used(tree) for tree in trees.values()))
+    defined = [(module, name) for module, tree in trees.items() for name in _defined(tree)]
+    assert defined, "no private names found; is the package path right?"
+    assert [f"{module}:{name}" for module, name in defined if name not in used] == []
