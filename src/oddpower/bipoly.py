@@ -9,6 +9,10 @@ Canonical term order, used for iteration and rendering: ascending total
 degree, ties broken by ascending z-degree.  For two variables this is a
 total order on exponent pairs, so output is deterministic.
 
+Evaluation and the diagonal substitution write the coefficients over their
+least common denominator once and add integer numerators, forming one
+``Rational`` per result value instead of one per term.
+
 Degrees must be ``int`` and coefficients ``int`` or ``Rational``; anything
 else (in particular ``float`` and ``bool``) raises ``TypeError``, to
 preserve exactness.
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping, Union
 
-from .rationals import Rational
+from .rationals import Rational, common_denominator
 
 __all__ = ["BiPoly", "MonomialKey", "X", "Z"]
 
@@ -193,25 +197,39 @@ class BiPoly:
         raise ValueError(f"var must be 'x' or 'z', got {var!r}")
 
     def __call__(self, x_val: CoefficientLike, z_val: CoefficientLike) -> Rational:
-        """Exact value at (x_val, z_val)."""
+        """Exact value at (x_val, z_val).
+
+        With x = a/b, z = c/d, degrees I in x and J in z and coefficients
+        N_ij / D over their common denominator, the value is
+
+            sum_i a^i b^(I-i) * sum_j N_ij * c^j d^(J-j)  /  (D * b^I * d^J),
+
+        summed on integers, one row per x-degree, and reduced once.
+        """
         x_val = _as_rational(x_val)
         z_val = _as_rational(z_val)
-        x_pow: dict[int, Rational] = {0: Rational(1)}
-        z_pow: dict[int, Rational] = {0: Rational(1)}
-        total = Rational(0)
-        for (dx, dz), coeff in self._terms.items():
-            xp = x_pow.get(dx)
-            if xp is None:
-                xp = x_pow[dx] = x_val**dx
-            zp = z_pow.get(dz)
-            if zp is None:
-                zp = z_pow[dz] = z_val**dz
-            total += coeff * xp * zp
-        return total
+        if not self._terms:
+            return Rational(0)
+        den, nums = common_denominator(self._terms.values())
+        x_pow = _scaled_powers(x_val, self.degree_x())
+        z_pow = _scaled_powers(z_val, self.degree_z())
+        rows = [0] * len(x_pow)
+        for (dx, dz), num in zip(self._terms, nums):
+            rows[dx] += num * z_pow[dz]
+        total = sum(row * xp for row, xp in zip(rows, x_pow))
+        return Rational(total, den * x_pow[0] * z_pow[0])
 
     def diagonal(self) -> BiPoly:
-        """Substitute z = x: every term (i, j) collapses to degree i + j in x."""
-        return _from_canonical(_collect(((dx + dz, 0), c) for (dx, dz), c in self._terms.items()))
+        """Substitute z = x: every term (i, j) collapses to degree i + j in x.
+
+        The numerators over the common denominator are added as integers and
+        each nonzero sum is reduced once.
+        """
+        den, nums = common_denominator(self._terms.values())
+        sums: dict[int, int] = {}
+        for (dx, dz), num in zip(self._terms, nums):
+            sums[dx + dz] = sums.get(dx + dz, 0) + num
+        return _from_canonical({(k, 0): Rational(n, den) for k, n in sums.items() if n})
 
     # -- comparison and display -------------------------------------------
 
@@ -253,6 +271,13 @@ def _collect(pairs: Iterable[tuple[MonomialKey, Rational]], out: _Terms | None =
         elif prev is not None:
             del out[key]
     return out
+
+
+def _scaled_powers(value: Rational, degree: int) -> list[int]:
+    """``[a^i * b^(degree-i) for i in 0..degree]`` for ``value = a/b``: the
+    powers of ``value`` over the one denominator ``b^degree``."""
+    num, den = value.numerator, value.denominator
+    return [num**i * den ** (degree - i) for i in range(degree + 1)]
 
 
 def _format_terms(poly: BiPoly, fraction: str, power: str) -> str:

@@ -8,6 +8,9 @@ Subcommands:
     verify [--max-y N]    symbolic identity checks, PASS/FAIL table per y
     oracle <m> [--max-n N]    literal integer summation check of the expansion
 
+A failed oracle check prints ``m=<m>: FAIL at n=<n> (lhs <lhs>, rhs <rhs>)``:
+the first n where the double sum (lhs) differs from n^(2m+1) (rhs).
+
 Exit codes: 0 success / all checks pass, 1 a verification failed, 2 usage or
 parse error, 141 stdout was closed before the output was written (as in
 ``oddpower poly 64 | head``; nothing is printed to stderr).  Orders above 64,
@@ -22,7 +25,7 @@ import os
 import sys
 
 from . import engine
-from .coefficients import solve_coeffs, verify_identity
+from .coefficients import first_failure, solve_coeffs
 from .rationals import Rational
 from .rendering import FORMATS, coeff_vector_json, render
 
@@ -182,10 +185,12 @@ def _run(argv: list[str] | None) -> int:
         return 1 if failed else 0
 
     if args.command == "oracle":
-        if verify_identity(args.m, args.max_n):
+        failure = first_failure(args.m, args.max_n)
+        if failure is None:
             print(f"m={args.m}: PASS (n = 1..{args.max_n})")
             return 0
-        print(f"m={args.m}: FAIL")
+        n, lhs, rhs = failure
+        print(f"m={args.m}: FAIL at n={n} (lhs {lhs}, rhs {rhs})")
         return 1
 
     raise AssertionError(f"unhandled command {args.command!r}")

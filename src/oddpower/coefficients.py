@@ -8,19 +8,19 @@ holds for every positive integer n.  ``solve_coeffs`` computes the row from
 Kolosov's closed Bernoulli recurrence, top entry first, with no polynomial
 arithmetic at all; the tests check it against triangular elimination over
 the diagonals of the convolved sums.  ``verify_identity`` checks a row the
-hard way, by literal summation with exact integer arithmetic.  The two
-routes are deliberately independent of each other.
+hard way, by literal summation with exact integer arithmetic, and
+``first_failure`` says where such a check fails.  The two routes are
+deliberately independent of each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm
 
-from .rationals import Rational, bernoulli, binomial
+from .rationals import Rational, bernoulli, binomial, common_denominator
 
-__all__ = ["CoeffVector", "solve_coeffs", "verify_identity"]
+__all__ = ["CoeffVector", "first_failure", "solve_coeffs", "verify_identity"]
 
 
 @dataclass(frozen=True)
@@ -69,20 +69,20 @@ def solve_coeffs(m: int) -> CoeffVector:
     return CoeffVector(m, tuple(values))
 
 
-def verify_identity(m: int, n_max: int) -> bool:
+def first_failure(m: int, n_max: int) -> tuple[int, Rational, int] | None:
     """Check the expansion literally for every n in 1..n_max.
 
     Computes sum_{k=1..n} sum_{r} D*A_r * (k(n-k))^r by direct summation and
     compares against D * n^(2m+1), where D is the lcm of the row's
-    denominators, so every operation is on plain integers.  Returns False on
-    the first mismatch; no polynomial code is involved, so this is an
+    denominators, so every operation is on plain integers.  Returns the first
+    failing ``(n, lhs, rhs)``, with lhs the double sum and rhs = n^(2m+1), or
+    None if every n passes.  No polynomial code is involved, so this is an
     independent oracle for the solver.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
-    values = solve_coeffs(m).values
-    den = lcm(*(a.denominator for a in values))
-    row = [a.numerator * (den // a.denominator) for a in values]
+    den, nums = common_denominator(solve_coeffs(m).values)
+    row = list(nums)
     for n in range(1, n_max + 1):
         total = 0
         for k in range(1, n + 1):
@@ -91,6 +91,13 @@ def verify_identity(m: int, n_max: int) -> bool:
             for a in reversed(row):
                 inner = inner * base + a
             total += inner
-        if total != den * n ** (2 * m + 1):
-            return False
-    return True
+        rhs = n ** (2 * m + 1)
+        if total != den * rhs:
+            return n, Rational(total, den), rhs
+    return None
+
+
+def verify_identity(m: int, n_max: int) -> bool:
+    """True iff the expansion holds for every n in 1..n_max (see
+    :func:`first_failure`)."""
+    return first_failure(m, n_max) is None

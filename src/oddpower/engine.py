@@ -21,7 +21,7 @@ from math import lcm
 from .bipoly import BiPoly, _from_canonical
 from .coefficients import solve_coeffs
 from .powersums import power_sum
-from .rationals import Rational, binomial
+from .rationals import Rational, binomial, common_denominator
 
 __all__ = [
     "IdentityReport",
@@ -63,10 +63,8 @@ def _power_sum_ints(p: int) -> tuple[int, tuple[int, ...]]:
     poly = power_sum(p)
     entry = _POWER_SUM_INTS.get(p)
     if entry is None or entry[0] is not poly:
-        coeffs = [poly.coefficient(0, k) for k in range(p + 2)]
-        den = lcm(*(c.denominator for c in coeffs))
-        nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
-        entry = _POWER_SUM_INTS[p] = (poly, den, nums)
+        den, nums = common_denominator([poly.coefficient(0, k) for k in range(p + 2)])
+        entry = _POWER_SUM_INTS[p] = (poly, den, tuple(nums))
     return entry[1], entry[2]
 
 

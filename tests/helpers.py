@@ -11,7 +11,9 @@ direct builder replaced; the differential tests hold the two routes equal.
 ``render_plain_reference`` and ``render_latex_reference`` are the two
 separate term-formatting loops that the shared formatter replaced.
 ``parse_poly_reference`` is the token-list parser that the one-pass
-``parse_poly`` replaced.
+``parse_poly`` replaced.  ``eval_reference`` and ``diagonal_reference`` are
+the term-by-term ``Fraction`` evaluation and diagonal collapse that the
+common-denominator ``BiPoly.__call__`` and ``BiPoly.diagonal`` replaced.
 """
 
 from __future__ import annotations
@@ -109,6 +111,29 @@ def build_poly_from_conv_sums(y: int) -> BiPoly:
     for r, a in enumerate(solve_coeffs(y)):
         acc = acc + conv_sum(r) * a
     return acc
+
+
+def eval_reference(poly: BiPoly, x_val: int | Rational, z_val: int | Rational) -> Rational:
+    """poly(x_val, z_val), adding one Fraction product per term."""
+    x_val = Rational(x_val)
+    z_val = Rational(z_val)
+    x_pow: dict[int, Rational] = {0: Rational(1)}
+    z_pow: dict[int, Rational] = {0: Rational(1)}
+    total = Rational(0)
+    for dx, dz, coeff in poly.terms():
+        xp = x_pow.get(dx)
+        if xp is None:
+            xp = x_pow[dx] = x_val**dx
+        zp = z_pow.get(dz)
+        if zp is None:
+            zp = z_pow[dz] = z_val**dz
+        total += coeff * xp * zp
+    return total
+
+
+def diagonal_reference(poly: BiPoly) -> BiPoly:
+    """poly with z = x, accumulating the Fraction coefficients term by term."""
+    return BiPoly([((dx + dz, 0), coeff) for dx, dz, coeff in poly.terms()])
 
 
 def shift_z(poly: BiPoly, offset: int | Rational) -> BiPoly:

@@ -1,10 +1,12 @@
 """Sparse bivariate polynomial ring: arithmetic, calculus, canonical form."""
 
+from fractions import Fraction
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from helpers import F1, F2, SUM1
+from helpers import F1, F2, SUM1, diagonal_reference, eval_reference
 from oddpower.bipoly import BiPoly, X, Z
 from oddpower.rationals import Rational
 
@@ -12,6 +14,15 @@ coefficients = st.fractions(min_value=-60, max_value=60, max_denominator=12)
 exponent_pairs = st.tuples(st.integers(0, 5), st.integers(0, 5))
 bipolys = st.dictionaries(exponent_pairs, coefficients, max_size=6).map(BiPoly)
 points = st.fractions(min_value=-8, max_value=8, max_denominator=5)
+
+# Wider denominators and degrees for the differential tests against the
+# term-by-term Fraction references.
+wide_bipolys = st.dictionaries(
+    st.tuples(st.integers(0, 9), st.integers(0, 9)),
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6),
+    max_size=12,
+).map(BiPoly)
+wide_points = st.integers(-50, 50) | st.fractions(-1000, 1000, max_denominator=1000)
 
 
 # -- construction and canonical form --------------------------------------
@@ -166,6 +177,35 @@ def test_diagonal_antisymmetric_cancels():
 
 def test_diagonal_of_f2():
     assert F2.diagonal() == X**5
+
+
+def test_call_keeps_type_guards():
+    for poly in (F1, BiPoly.zero()):
+        for x_val, z_val in ((True, 1), (Rational(1), 0.5), (1, None)):
+            with pytest.raises(TypeError):
+                poly(x_val, z_val)
+    value = BiPoly.zero()(3, 4)
+    assert value == Rational(0) and type(value) is Fraction
+    assert BiPoly.zero().diagonal().is_zero()
+
+
+@example(p=BiPoly.zero(), u=3, v=Rational(-2, 7))
+@example(p=F2, u=0, v=Rational(-5, 3))
+@example(p=F2, u=Rational(-5, 3), v=0)
+@example(p=F2 + Rational(1, 7), u=Rational(-999, 998), v=Rational(997, 5))
+@given(p=wide_bipolys, u=wide_points, v=wide_points)
+def test_eval_matches_reference(p, u, v):
+    value = p(u, v)
+    assert type(value) is Fraction
+    assert value == eval_reference(p, u, v)
+
+
+@example(p=BiPoly.zero())
+@example(p=X - Z + Rational(1, 3) * X * Z)
+@example(p=F1)
+@given(p=wide_bipolys)
+def test_diagonal_matches_reference(p):
+    assert p.diagonal() == diagonal_reference(p)
 
 
 # -- ordering, degrees, display -------------------------------------------

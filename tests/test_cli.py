@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import oddpower.cli as cli
+import oddpower.coefficients as coefficients
 from oddpower.cli import main
+from oddpower.coefficients import CoeffVector, solve_coeffs
 from oddpower.rationals import Rational
 
 
@@ -187,10 +189,14 @@ def test_oracle_rejects_zero_range(capsys):
 
 
 def test_oracle_failure_exits_one(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "verify_identity", lambda m, n_max: False)
+    # Row (1, 0, 30) with A_2 off by 1/2 first fails at n = 2, where the
+    # double sum is A_0 + (A_0 + A_1 + A_2) = 32 + 1/2.
+    row = solve_coeffs(2)
+    corrupted = CoeffVector(2, (row[0], row[1], row[2] + Rational(1, 2)))
+    monkeypatch.setattr(coefficients, "solve_coeffs", lambda m: corrupted)
     code, out, _ = run(capsys, "oracle", "2")
     assert code == 1
-    assert out == "m=2: FAIL\n"
+    assert out == "m=2: FAIL at n=2 (lhs 65/2, rhs 32)\n"
 
 
 # -- guard rails and usage errors -----------------------------------------

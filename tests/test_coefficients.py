@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from helpers import solve_coeffs_by_elimination
 from oddpower.bipoly import X
-from oddpower.coefficients import CoeffVector, solve_coeffs, verify_identity
+import oddpower.coefficients as coefficients
+from oddpower.coefficients import CoeffVector, first_failure, solve_coeffs, verify_identity
 from oddpower.powersums import conv_sum
 from oddpower.rationals import Rational, binomial
 
@@ -59,6 +60,22 @@ def test_recurrence_matches_elimination_to_order_64(m):
 @pytest.mark.parametrize("m", [*range(7), 11, 12, 16])
 def test_integer_oracle(m):
     assert verify_identity(m, 25)
+
+
+def test_first_failure_names_n_and_both_sides(monkeypatch):
+    assert first_failure(11, 25) is None
+    # Moving 1/5 from A_2 to A_1 cancels at n = 2 (k(n-k) is 1 or 0) and
+    # first shows at n = 3, where both k = 1, 2 have k(n-k) = 2:
+    # lhs = 3^23 + 2 * (2 - 4) / 5.
+    values = list(solve_coeffs(11))
+    values[1] += Rational(1, 5)
+    values[2] -= Rational(1, 5)
+    monkeypatch.setattr(coefficients, "solve_coeffs", lambda m: CoeffVector(11, tuple(values)))
+    assert first_failure(11, 25) == (3, 3**23 - Rational(4, 5), 3**23)
+    assert first_failure(11, 2) is None
+    assert not verify_identity(11, 25)
+    values[0] += 1  # the only entry n = 1 sees: lhs = A_0
+    assert first_failure(11, 25) == (1, Rational(2), 1)
 
 
 def test_oracle_literal_restatement():
@@ -116,6 +133,8 @@ def test_solver_rejects_negative_order():
 def test_oracle_rejects_bad_bounds():
     with pytest.raises(ValueError):
         verify_identity(2, 0)
+    with pytest.raises(ValueError):
+        first_failure(2, 0)
 
 
 def test_solver_is_deterministic():

@@ -1,12 +1,13 @@
 """Family construction and the symbolic derivative identity."""
 
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import F1, F2, F3, build_poly_from_conv_sums
+from helpers import F1, F2, F3, build_poly_from_conv_sums, diagonal_reference, eval_reference
 from oddpower.bipoly import X, Z
 from oddpower.coefficients import solve_coeffs
 from oddpower.engine import (
@@ -128,6 +129,28 @@ def test_eval_matches_closed_form_over_grid():
         for num in range(-6, 7):
             u = Rational(num, 3)
             assert eval_derivative_at(y, u) == (2 * y + 1) * u ** (2 * y)
+
+
+def test_eval_matches_reference_to_order_64():
+    # Seeded points u = p/q with 1 <= |p|, q <= 999; every eighth order also
+    # at an off-diagonal point (u, v).
+    rng = random.Random(5)
+
+    def point():
+        return Rational(rng.choice((-1, 1)) * rng.randint(1, 999), rng.randint(1, 999))
+
+    for y in range(24, 65):
+        poly, u = derivative_sum(y), point()
+        assert poly(u, u) == eval_reference(poly, u, u) == (2 * y + 1) * u ** (2 * y), y
+        if y % 8 == 0:
+            v = point()
+            assert poly(u, v) == eval_reference(poly, u, v), y
+
+
+def test_diagonal_matches_reference_to_order_64():
+    for y in range(65):
+        for poly in (build_poly(y), derivative_sum(y)):
+            assert poly.diagonal() == diagonal_reference(poly), y
 
 
 def test_negative_order_rejected():
