@@ -1,17 +1,23 @@
 """Sparse exact bivariate polynomials in the variables x and z.
 
-A ``BiPoly`` maps exponent pairs ``(deg_x, deg_z)`` to nonzero ``Rational``
-coefficients.  The zero polynomial is the empty map, so structural equality
-of the maps is polynomial equality and no normalization is ever deferred.
-Instances are immutable after construction and safe to share across threads.
+A ``BiPoly`` holds its rational coefficients as integer numerators over one
+shared denominator, the primitive-part layout of FLINT's ``fmpq_poly``: a
+map from exponent pairs ``(deg_x, deg_z)`` to nonzero ``int`` numerators,
+and one ``int`` denominator ``den > 0`` with ``gcd(den, *numerators) == 1``.
+The zero polynomial is the empty map over ``den == 1``.  That pair is unique
+for each polynomial, so structural equality is polynomial equality and no
+normalization is ever deferred.  Instances are immutable after construction
+and safe to share across threads.
+
+Addition, subtraction, products, partial derivatives, the diagonal
+substitution and evaluation all work on the integer numerators, over the
+least common multiple of the operands' denominators, and reduce each result
+once by one gcd.  ``Rational`` coefficients appear only at the API edge:
+construction, :meth:`BiPoly.coefficient` and :meth:`BiPoly.terms`.
 
 Canonical term order, used for iteration and rendering: ascending total
 degree, ties broken by ascending z-degree.  For two variables this is a
 total order on exponent pairs, so output is deterministic.
-
-Evaluation and the diagonal substitution write the coefficients over their
-least common denominator once and add integer numerators, forming one
-``Rational`` per result value instead of one per term.
 
 Degrees must be ``int`` and coefficients ``int`` or ``Rational``; anything
 else (in particular ``float`` and ``bool``) raises ``TypeError``, to
@@ -20,15 +26,16 @@ preserve exactness.
 
 from __future__ import annotations
 
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Union
 
-from .rationals import Rational, common_denominator
+from .rationals import Rational
 
 __all__ = ["BiPoly", "MonomialKey", "X", "Z"]
 
 MonomialKey = tuple[int, int]
 CoefficientLike = Union[int, Rational]
-_Terms = dict[MonomialKey, Rational]
+_Numerators = dict[MonomialKey, int]
 
 
 def _as_rational(value: CoefficientLike) -> Rational:
@@ -47,7 +54,7 @@ class BiPoly:
     instance, and the diagonal substitution z -> x via :meth:`diagonal`.
     """
 
-    __slots__ = ("_terms", "_sorted", "_hash")
+    __slots__ = ("_den", "_nums", "_sorted", "_hash")
 
     def __init__(
         self,
@@ -55,14 +62,16 @@ class BiPoly:
         | Iterable[tuple[MonomialKey, CoefficientLike]] = (),
     ):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        checked: list[tuple[MonomialKey, Rational]] = []
+        fractions: list[tuple[MonomialKey, int, int]] = []
         for (deg_x, deg_z), coeff in items:
             if type(deg_x) is not int or type(deg_z) is not int:  # bool is an int subclass
                 raise TypeError(f"degrees must be int, got ({deg_x!r}, {deg_z!r})")
             if deg_x < 0 or deg_z < 0:
                 raise ValueError(f"degrees must be non-negative, got ({deg_x}, {deg_z})")
-            checked.append(((deg_x, deg_z), _as_rational(coeff)))
-        self._terms = _collect(checked)
+            value = _as_rational(coeff)
+            fractions.append(((deg_x, deg_z), value.numerator, value.denominator))
+        poly = _from_fractions(fractions)
+        self._den, self._nums = poly._den, poly._nums
         self._sorted: list[MonomialKey] | None = None
         self._hash: int | None = None
 
@@ -87,43 +96,38 @@ class BiPoly:
     # -- inspection --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._nums)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._nums)
 
     def coefficient(self, deg_x: int, deg_z: int) -> Rational:
         """Coefficient of x^deg_x z^deg_z, zero if the monomial is absent."""
-        return self._terms.get((deg_x, deg_z), _ZERO)
+        return Rational(self._nums.get((deg_x, deg_z), 0), self._den)
 
     def _keys(self) -> list[MonomialKey]:
         if self._sorted is None:
-            self._sorted = sorted(self._terms, key=lambda k: (k[0] + k[1], k[1]))
+            self._sorted = sorted(self._nums, key=lambda k: (k[0] + k[1], k[1]))
         return self._sorted
 
     def terms(self) -> Iterator[tuple[int, int, Rational]]:
         """Yield (deg_x, deg_z, coefficient) triples in canonical order."""
+        den, nums = self._den, self._nums
         for key in self._keys():
-            yield key[0], key[1], self._terms[key]
+            yield key[0], key[1], Rational(nums[key], den)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(dx + dz for dx, dz in self._terms)
+        return max((dx + dz for dx, dz in self._nums), default=-1)
 
     def degree_x(self) -> int:
-        if not self._terms:
-            return -1
-        return max(dx for dx, _ in self._terms)
+        return max((dx for dx, _ in self._nums), default=-1)
 
     def degree_z(self) -> int:
-        if not self._terms:
-            return -1
-        return max(dz for _, dz in self._terms)
+        return max((dz for _, dz in self._nums), default=-1)
 
     # -- ring operations ---------------------------------------------------
 
@@ -133,20 +137,20 @@ class BiPoly:
                 other = BiPoly.constant(_as_rational(other))
             except TypeError:
                 return NotImplemented
-        return _from_canonical(_collect(other._terms.items(), dict(self._terms)))
+        return _add(self, other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> BiPoly:
-        return _from_canonical({key: -coeff for key, coeff in self._terms.items()})
+        return _from_ints(self._den, {key: -num for key, num in self._nums.items()})
 
     def __sub__(self, other: BiPoly | CoefficientLike) -> BiPoly:
-        if isinstance(other, BiPoly):
-            return self.__add__(-other)
-        try:
-            return self.__add__(-_as_rational(other))
-        except TypeError:
-            return NotImplemented
+        if not isinstance(other, BiPoly):
+            try:
+                other = BiPoly.constant(_as_rational(other))
+            except TypeError:
+                return NotImplemented
+        return _add(self, other, -1)
 
     def __rsub__(self, other: CoefficientLike) -> BiPoly:
         return (-self).__add__(other)
@@ -159,13 +163,16 @@ class BiPoly:
                 return NotImplemented
             if not scalar:
                 return BiPoly.zero()
-            return _from_canonical({key: coeff * scalar for key, coeff in self._terms.items()})
-        products = (
-            ((ax + bx, az + bz), ac * bc)
-            for (ax, az), ac in self._terms.items()
-            for (bx, bz), bc in other._terms.items()
-        )
-        return _from_canonical(_collect(products))
+            factor = scalar.numerator
+            nums = {key: num * factor for key, num in self._nums.items()}
+            return _from_ints(self._den * scalar.denominator, nums)
+        products: _Numerators = {}
+        for (ax, az), an in self._nums.items():
+            for (bx, bz), bn in other._nums.items():
+                key = (ax + bx, az + bz)
+                products[key] = products.get(key, 0) + an * bn
+        nums = {key: num for key, num in products.items() if num}
+        return _from_ints(self._den * other._den, nums)
 
     __rmul__ = __mul__
 
@@ -189,18 +196,18 @@ class BiPoly:
 
     def diff(self, var: str) -> BiPoly:
         """Exact partial derivative with respect to ``"x"`` or ``"z"``."""
-        items = self._terms.items()
+        items = self._nums.items()
         if var == "x":
-            return _from_canonical({(dx - 1, dz): c * dx for (dx, dz), c in items if dx})
+            return _from_ints(self._den, {(dx - 1, dz): n * dx for (dx, dz), n in items if dx})
         if var == "z":
-            return _from_canonical({(dx, dz - 1): c * dz for (dx, dz), c in items if dz})
+            return _from_ints(self._den, {(dx, dz - 1): n * dz for (dx, dz), n in items if dz})
         raise ValueError(f"var must be 'x' or 'z', got {var!r}")
 
     def __call__(self, x_val: CoefficientLike, z_val: CoefficientLike) -> Rational:
         """Exact value at (x_val, z_val).
 
         With x = a/b, z = c/d, degrees I in x and J in z and coefficients
-        N_ij / D over their common denominator, the value is
+        N_ij / D, the value is
 
             sum_i a^i b^(I-i) * sum_j N_ij * c^j d^(J-j)  /  (D * b^I * d^J),
 
@@ -208,47 +215,42 @@ class BiPoly:
         """
         x_val = _as_rational(x_val)
         z_val = _as_rational(z_val)
-        if not self._terms:
+        if not self._nums:
             return Rational(0)
-        den, nums = common_denominator(self._terms.values())
         x_pow = _scaled_powers(x_val, self.degree_x())
         z_pow = _scaled_powers(z_val, self.degree_z())
         rows = [0] * len(x_pow)
-        for (dx, dz), num in zip(self._terms, nums):
+        for (dx, dz), num in self._nums.items():
             rows[dx] += num * z_pow[dz]
         total = sum(row * xp for row, xp in zip(rows, x_pow))
-        return Rational(total, den * x_pow[0] * z_pow[0])
+        return Rational(total, self._den * x_pow[0] * z_pow[0])
 
     def diagonal(self) -> BiPoly:
         """Substitute z = x: every term (i, j) collapses to degree i + j in x.
 
-        The numerators over the common denominator are added as integers and
-        each nonzero sum is reduced once.
+        The numerators are added as integers over the one denominator.
         """
-        den, nums = common_denominator(self._terms.values())
         sums: dict[int, int] = {}
-        for (dx, dz), num in zip(self._terms, nums):
+        for (dx, dz), num in self._nums.items():
             sums[dx + dz] = sums.get(dx + dz, 0) + num
-        return _from_canonical({(k, 0): Rational(n, den) for k, n in sums.items() if n})
+        return _from_ints(self._den, {(k, 0): n for k, n in sums.items() if n})
 
     # -- comparison and display -------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, BiPoly):
-            return self._terms == other._terms
         if type(other) is int or isinstance(other, Rational):
-            return self._terms == BiPoly.constant(other)._terms
-        return NotImplemented
+            other = BiPoly.constant(other)
+        elif not isinstance(other, BiPoly):
+            return NotImplemented
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self) -> int:
         if self._hash is None:
-            if not self._terms:
-                self._hash = hash(_ZERO)
-            elif len(self._terms) == 1 and (0, 0) in self._terms:
+            if not self._nums or (len(self._nums) == 1 and (0, 0) in self._nums):
                 # Constants hash like their scalar value, consistent with __eq__.
-                self._hash = hash(self._terms[(0, 0)])
+                self._hash = hash(self.coefficient(0, 0))
             else:
-                self._hash = hash(frozenset(self._terms.items()))
+                self._hash = hash((self._den, frozenset(self._nums.items())))
         return self._hash
 
     def __str__(self) -> str:
@@ -258,19 +260,44 @@ class BiPoly:
         return f"BiPoly({str(self)!r})"
 
 
-def _collect(pairs: Iterable[tuple[MonomialKey, Rational]], out: _Terms | None = None) -> _Terms:
-    """Add ``(monomial, coefficient)`` pairs into ``out`` (a new dict by
-    default), dropping every monomial whose sum is zero."""
-    if out is None:
-        out = {}
-    for key, coeff in pairs:
-        prev = out.get(key)
-        total = coeff if prev is None else prev + coeff
+def _from_ints(den: int, nums: _Numerators) -> BiPoly:
+    """The polynomial with zero-free integer numerators ``nums`` over
+    ``den > 0``, both divided by their gcd once."""
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {key: n // g for key, n in nums.items()}
+    poly = BiPoly.__new__(BiPoly)
+    poly._den = den
+    poly._nums = nums
+    poly._sorted = None
+    poly._hash = None
+    return poly
+
+
+def _from_fractions(terms: list[tuple[MonomialKey, int, int]]) -> BiPoly:
+    """The sum of ``(monomial, numerator, denominator)`` triples, with
+    positive denominators, added over the lcm of the denominators."""
+    den = lcm(*(d for _, _, d in terms))
+    sums: _Numerators = {}
+    for key, n, d in terms:
+        sums[key] = sums.get(key, 0) + n * (den // d)
+    return _from_ints(den, {key: n for key, n in sums.items() if n})
+
+
+def _add(a: BiPoly, b: BiPoly, sign: int) -> BiPoly:
+    """``a + sign * b`` over the lcm of the two denominators."""
+    den = lcm(a._den, b._den)
+    scale_a, scale_b = den // a._den, sign * (den // b._den)
+    nums = dict(a._nums) if scale_a == 1 else {k: n * scale_a for k, n in a._nums.items()}
+    for key, n in b._nums.items():
+        total = nums.get(key, 0) + n * scale_b
         if total:
-            out[key] = total
-        elif prev is not None:
-            del out[key]
-    return out
+            nums[key] = total
+        else:  # n * scale_b is nonzero, so the key was present
+            del nums[key]
+    return _from_ints(den, nums)
 
 
 def _scaled_powers(value: Rational, degree: int) -> list[int]:
@@ -280,13 +307,25 @@ def _scaled_powers(value: Rational, degree: int) -> list[int]:
     return [num**i * den ** (degree - i) for i in range(degree + 1)]
 
 
+def _reduced_terms(poly: BiPoly) -> Iterator[tuple[int, int, int, int]]:
+    """Yield (deg_x, deg_z, numerator, denominator) in canonical order, each
+    coefficient in lowest terms with a positive denominator."""
+    den, nums = poly._den, poly._nums
+    for key in poly._keys():
+        num = nums[key]
+        g = gcd(num, den)
+        if g == 1:
+            yield key[0], key[1], num, den
+        else:
+            yield key[0], key[1], num // g, den // g
+
+
 def _format_terms(poly: BiPoly, fraction: str, power: str) -> str:
     """Join ``poly``'s signed terms in canonical order; the format strings
     ``fraction`` (numerator, denominator) and ``power`` (variable, exponent)
     spell non-integer magnitudes and exponents above one."""
     parts: list[str] = []
-    for dx, dz, coeff in poly.terms():
-        num, den = coeff.numerator, coeff.denominator
+    for dx, dz, num, den in _reduced_terms(poly):
         negative = num < 0
         if negative:
             num = -num
@@ -304,17 +343,6 @@ def _format_terms(poly: BiPoly, fraction: str, power: str) -> str:
             parts.append(f"-{body}" if negative else body)
     return " ".join(parts) or "0"
 
-
-def _from_canonical(terms: _Terms) -> BiPoly:
-    """Wrap a dict that is already zero-free without re-normalizing."""
-    poly = BiPoly.__new__(BiPoly)
-    poly._terms = terms
-    poly._sorted = None
-    poly._hash = None
-    return poly
-
-
-_ZERO = Rational(0)
 
 X = BiPoly.monomial(1, 0)
 Z = BiPoly.monomial(0, 1)

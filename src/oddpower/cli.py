@@ -12,8 +12,9 @@ A failed oracle check prints ``m=<m>: FAIL at n=<n> (lhs <lhs>, rhs <rhs>)``:
 the first n where the double sum (lhs) differs from n^(2m+1) (rhs).
 
 Exit codes: 0 success / all checks pass, 1 a verification failed, 2 usage or
-parse error, 141 stdout was closed before the output was written (as in
-``oddpower poly 64 | head``; nothing is printed to stderr).  Orders above 64,
+parse error, 130 interrupted by Ctrl-C (SIGINT; ``interrupted`` is printed to
+stderr, with no traceback), 141 stdout was closed before the output was
+written (as in ``oddpower poly 64 | head``; nothing is printed to stderr).  Orders above 64,
 and oracle ranges --max-n above 1000, are refused unless --allow-large is
 given, to keep accidental runtimes in check.
 """
@@ -31,6 +32,7 @@ from .rendering import FORMATS, coeff_vector_json, render
 
 MAX_ORDER = 64
 MAX_SAMPLES = 1000  # oracle --max-n; the literal double sum costs about n_max^2 / 2 steps
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, what a shell reports for a program stopped by Ctrl-C
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer killed by the signal
 
 
@@ -118,6 +120,9 @@ def main(argv: list[str] | None = None) -> int:
         # interpreter's final flush does not report the same error again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 def _run(argv: list[str] | None) -> int:

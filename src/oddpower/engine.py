@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 
-from .bipoly import BiPoly, _from_canonical
+from .bipoly import BiPoly, _from_ints
 from .coefficients import solve_coeffs
 from .powersums import power_sum
-from .rationals import Rational, binomial, common_denominator
+from .rationals import Rational, binomial
 
 __all__ = [
     "IdentityReport",
@@ -53,21 +53,6 @@ class IdentityReport:
     holds: bool
 
 
-# p -> (power_sum(p), denominator, numerators by z-degree).  Entries are
-# checked against power_sum's own cache, so clearing that cache drops them too.
-_POWER_SUM_INTS: dict[int, tuple[BiPoly, int, tuple[int, ...]]] = {}
-
-
-def _power_sum_ints(p: int) -> tuple[int, tuple[int, ...]]:
-    """power_sum(p) as integer numerators over their least common denominator."""
-    poly = power_sum(p)
-    entry = _POWER_SUM_INTS.get(p)
-    if entry is None or entry[0] is not poly:
-        den, nums = common_denominator([poly.coefficient(0, k) for k in range(p + 2)])
-        entry = _POWER_SUM_INTS[p] = (poly, den, tuple(nums))
-    return entry[1], entry[2]
-
-
 @lru_cache(maxsize=None)
 def build_poly(y: int) -> BiPoly:
     """The y-th member of the family, sum_r A_r * conv_sum(r), assembled as
@@ -78,31 +63,41 @@ def build_poly(y: int) -> BiPoly:
     diagonal z = x it equals x^(2y+1) exactly.
     """
     row = solve_coeffs(y)
-    terms: dict[tuple[int, int], Rational] = {}
+    rows: list[tuple[int, int, list[int]]] = []  # (x-degree, denominator, numerators by z-degree)
     for i in range(y + 1):
-        # Longest power sum first (r = y, and A_y is never zero), so each
-        # later one adds into a prefix of the accumulator.
         parts = []
-        for r in range(y, i - 1, -1):
+        for r in range(i, y + 1):
             a = row[r]
             if a:
-                den, nums = _power_sum_ints(2 * r - i)
+                ps = power_sum(2 * r - i)
                 sign = -1 if (r - i) % 2 else 1
-                parts.append((sign * a.numerator * binomial(r, i), a.denominator * den, nums))
+                parts.append((sign * a.numerator * binomial(r, i), a.denominator * ps._den, ps._nums))
         common = lcm(*(den for _, den, _ in parts))
-        acc = [0] * len(parts[0][2])
+        acc = [0] * (2 * y - i + 2)  # S_{2y-i} has degree 2y - i + 1
         for num, den, nums in parts:
             factor = num * (common // den)
-            acc[: len(nums)] = [t + factor * n for t, n in zip(acc, nums)]
-        terms.update({(i, k): Rational(t, common) for k, t in enumerate(acc) if t})
-    return _from_canonical(terms)
+            for (_, k), n in nums.items():
+                acc[k] += factor * n
+        rows.append((i, common, acc))
+    den = lcm(*(common for _, common, _ in rows))
+    nums: dict[tuple[int, int], int] = {}
+    for i, common, acc in rows:
+        scale = den // common
+        nums.update({(i, k): t * scale for k, t in enumerate(acc) if t})
+    return _from_ints(den, nums)
+
+
+def _partials(poly: BiPoly) -> tuple[BiPoly, BiPoly, BiPoly]:
+    """The partial derivatives of ``poly`` in x and in z, and their sum."""
+    partial_x = poly.diff("x")
+    partial_z = poly.diff("z")
+    return partial_x, partial_z, partial_x + partial_z
 
 
 @lru_cache(maxsize=None)
 def derivative_sum(y: int) -> BiPoly:
     """Sum of the two partial derivatives of build_poly(y)."""
-    poly = build_poly(y)
-    return poly.diff("x") + poly.diff("z")
+    return _partials(build_poly(y))[2]
 
 
 def odd_power(y: int) -> BiPoly:
@@ -121,9 +116,7 @@ def check_derivative_identity(y: int) -> IdentityReport:
     """Symbolically verify that the partial sum on the diagonal is the
     ordinary derivative (2y+1) x^(2y) of the odd power."""
     poly = build_poly(y)
-    partial_x = poly.diff("x")
-    partial_z = poly.diff("z")
-    partial_sum = partial_x + partial_z
+    partial_x, partial_z, partial_sum = _partials(poly)
     diagonal_of_sum = partial_sum.diagonal()
     expected = BiPoly.monomial(2 * y, 0, 2 * y + 1)
     residual = diagonal_of_sum - expected

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import re
 
-from .bipoly import BiPoly
-from .rationals import Rational
+from .bipoly import BiPoly, _from_fractions
 
 __all__ = ["parse_poly", "PolyParseError", "UnknownVariableError", "MAX_DEGREE"]
 
@@ -75,7 +74,7 @@ def parse_poly(text: str) -> BiPoly:
     junk = _JUNK_RE.search(text)
     if junk:
         raise PolyParseError(f"unexpected character {junk.group()!r}", junk.start())
-    terms: list[tuple[tuple[int, int], Rational]] = []
+    terms: list[tuple[tuple[int, int], int, int]] = []  # (degrees, numerator, denominator)
     # The current term: its signed coefficient num/den, and its degrees.
     num, den, deg_x, deg_z = 1, 1, 0, 0
     need = "term"  # what must come next: "term", "factor" (after '*') or None
@@ -120,9 +119,9 @@ def parse_poly(text: str) -> BiPoly:
         elif op == "*":
             need = "factor"
         else:  # '+', '-', another operator or the end closes the term
-            terms.append(((deg_x, deg_z), Rational(num, den)))
+            terms.append(((deg_x, deg_z), num, den))
             if op is None:
-                return BiPoly(terms)
+                return _from_fractions(terms)
             if op not in ("+", "-"):
                 raise PolyParseError(f"expected '+' or '-', found {op!r}", pos)
             num, den, deg_x, deg_z = (-1 if op == "-" else 1), 1, 0, 0

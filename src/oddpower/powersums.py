@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .bipoly import BiPoly
+from .bipoly import BiPoly, _from_fractions
 from .rationals import bernoulli, binomial
 
 __all__ = ["power_sum", "conv_sum"]
@@ -52,8 +52,9 @@ def conv_sum(r: int) -> BiPoly:
     """
     if r < 0:
         raise ValueError(f"r must be non-negative, got {r}")
-    acc = BiPoly.zero()
+    terms = []
     for j in range(r + 1):
-        sign = -1 if j % 2 else 1
-        acc = acc + BiPoly.monomial(r - j, 0, sign * binomial(r, j)) * power_sum(r + j)
-    return acc
+        s = power_sum(r + j)
+        scale = (-1 if j % 2 else 1) * binomial(r, j)
+        terms.extend(((r - j, k), scale * n, s._den) for (_, k), n in s._nums.items())
+    return _from_fractions(terms)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Literal
 
-from .bipoly import BiPoly, _format_terms
+from .bipoly import BiPoly, _format_terms, _reduced_terms
 
 if TYPE_CHECKING:
     from .coefficients import CoeffVector
@@ -61,8 +61,7 @@ def render_latex(poly: BiPoly) -> str:
 def poly_terms(poly: BiPoly) -> list[dict]:
     """Term list for the JSON schema, in canonical order."""
     return [
-        {"dx": dx, "dz": dz, "c": f"{c.numerator}/{c.denominator}"}
-        for dx, dz, c in poly.terms()
+        {"dx": dx, "dz": dz, "c": f"{num}/{den}"} for dx, dz, num, den in _reduced_terms(poly)
     ]
 
 

@@ -14,12 +14,17 @@ separate term-formatting loops that the shared formatter replaced.
 ``parse_poly`` replaced.  ``eval_reference`` and ``diagonal_reference`` are
 the term-by-term ``Fraction`` evaluation and diagonal collapse that the
 common-denominator ``BiPoly.__call__`` and ``BiPoly.diagonal`` replaced.
+``ReferenceBiPoly`` is the ``Fraction``-per-term polynomial that the
+integer-numerator ``BiPoly`` replaced, and ``render_json_reference`` the
+JSON term list written from its ``Fraction`` coefficients.
 """
 
 from __future__ import annotations
 
+import json
 import random
 import re
+from typing import Iterable, Iterator, Mapping
 
 from oddpower.bipoly import BiPoly
 from oddpower.coefficients import solve_coeffs
@@ -134,6 +139,115 @@ def eval_reference(poly: BiPoly, x_val: int | Rational, z_val: int | Rational) -
 def diagonal_reference(poly: BiPoly) -> BiPoly:
     """poly with z = x, accumulating the Fraction coefficients term by term."""
     return BiPoly([((dx + dz, 0), coeff) for dx, dz, coeff in poly.terms()])
+
+
+def _collect(pairs: Iterable[tuple[tuple[int, int], Rational]], out: dict | None = None) -> dict:
+    """Add ``(monomial, coefficient)`` pairs into ``out`` (a new dict by
+    default), dropping every monomial whose sum is zero."""
+    if out is None:
+        out = {}
+    for key, coeff in pairs:
+        prev = out.get(key)
+        total = coeff if prev is None else prev + coeff
+        if total:
+            out[key] = total
+        elif prev is not None:
+            del out[key]
+    return out
+
+
+class ReferenceBiPoly:
+    """A polynomial in x and z stored as one nonzero ``Fraction`` per
+    monomial; every operation adds or multiplies ``Fraction``s term by term.
+
+    Offers the operations of ``BiPoly`` that the differential tests compare:
+    ``+ - * **`` with each other and with scalars, ``diff``, ``diagonal``,
+    evaluation, ``coefficient``, ``terms``, ``==`` and ``hash``.
+    """
+
+    def __init__(self, terms: Mapping | Iterable = ()):
+        items = terms.items() if isinstance(terms, Mapping) else terms
+        self.coeffs = _collect((key, Rational(coeff)) for key, coeff in items)
+
+    @classmethod
+    def _of(cls, coeffs: dict) -> "ReferenceBiPoly":
+        poly = cls.__new__(cls)
+        poly.coeffs = coeffs
+        return poly
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def coefficient(self, deg_x: int, deg_z: int) -> Rational:
+        return self.coeffs.get((deg_x, deg_z), Rational(0))
+
+    def terms(self) -> Iterator[tuple[int, int, Rational]]:
+        for key in sorted(self.coeffs, key=lambda k: (k[0] + k[1], k[1])):
+            yield key[0], key[1], self.coeffs[key]
+
+    def _lift(self, other) -> "ReferenceBiPoly":
+        return other if isinstance(other, ReferenceBiPoly) else ReferenceBiPoly({(0, 0): other})
+
+    def __add__(self, other) -> "ReferenceBiPoly":
+        return self._of(_collect(self._lift(other).coeffs.items(), dict(self.coeffs)))
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "ReferenceBiPoly":
+        return self._of({key: -coeff for key, coeff in self.coeffs.items()})
+
+    def __sub__(self, other) -> "ReferenceBiPoly":
+        return self + -self._lift(other)
+
+    def __rsub__(self, other) -> "ReferenceBiPoly":
+        return -self + other
+
+    def __mul__(self, other) -> "ReferenceBiPoly":
+        other = self._lift(other)
+        products = (
+            ((ax + bx, az + bz), ac * bc)
+            for (ax, az), ac in self.coeffs.items()
+            for (bx, bz), bc in other.coeffs.items()
+        )
+        return self._of(_collect(products))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, exponent: int) -> "ReferenceBiPoly":
+        result = ReferenceBiPoly({(0, 0): 1})
+        for _ in range(exponent):
+            result = result * self
+        return result
+
+    def diff(self, var: str) -> "ReferenceBiPoly":
+        items = self.coeffs.items()
+        if var == "x":
+            return self._of({(dx - 1, dz): c * dx for (dx, dz), c in items if dx})
+        return self._of({(dx, dz - 1): c * dz for (dx, dz), c in items if dz})
+
+    def diagonal(self) -> "ReferenceBiPoly":
+        return self._of(_collect(((dx + dz, 0), coeff) for (dx, dz), coeff in self.coeffs.items()))
+
+    def __call__(self, x_val, z_val) -> Rational:
+        return eval_reference(self, x_val, z_val)
+
+    def __eq__(self, other) -> bool:
+        return self.coeffs == self._lift(other).coeffs
+
+    def __hash__(self) -> int:
+        if not self.coeffs:
+            return hash(Rational(0))
+        if len(self.coeffs) == 1 and (0, 0) in self.coeffs:
+            return hash(self.coeffs[(0, 0)])
+        return hash(frozenset(self.coeffs.items()))
+
+
+def render_json_reference(poly) -> str:
+    """The JSON term list, written from each term's Fraction coefficient."""
+    terms = [
+        {"dx": dx, "dz": dz, "c": f"{c.numerator}/{c.denominator}"} for dx, dz, c in poly.terms()
+    ]
+    return json.dumps({"terms": terms}, separators=(",", ":"))
 
 
 def shift_z(poly: BiPoly, offset: int | Rational) -> BiPoly:

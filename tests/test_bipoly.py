@@ -6,9 +6,20 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from helpers import F1, F2, SUM1, diagonal_reference, eval_reference
+from helpers import (
+    F1,
+    F2,
+    SUM1,
+    ReferenceBiPoly,
+    diagonal_reference,
+    eval_reference,
+    render_json_reference,
+    render_latex_reference,
+    render_plain_reference,
+)
 from oddpower.bipoly import BiPoly, X, Z
 from oddpower.rationals import Rational
+from oddpower.rendering import render_json, render_latex, render_plain
 
 coefficients = st.fractions(min_value=-60, max_value=60, max_denominator=12)
 exponent_pairs = st.tuples(st.integers(0, 5), st.integers(0, 5))
@@ -289,3 +300,106 @@ def test_chain_rule_on_diagonal(p):
     # d/dx p(x, x) equals (d/dx p + d/dz p)(x, x) as polynomials; this is
     # the structural fact behind the whole derivative identity.
     assert p.diagonal().diff("x") == (p.diff("x") + p.diff("z")).diagonal()
+
+
+# -- differential tests against the Fraction-per-term reference -------------
+
+# Term maps given to both layouts: integers and fractions over denominators
+# up to 10^3, so operands often have different, coprime or shared denominators.
+term_maps = st.dictionaries(
+    st.tuples(st.integers(0, 6), st.integers(0, 6)),
+    st.integers(-50, 50) | st.fractions(-(10**4), 10**4, max_denominator=10**3),
+    max_size=8,
+)
+scalars = st.integers(-30, 30) | st.fractions(-100, 100, max_denominator=60)
+
+HALF_X = {(1, 0): Rational(1, 2)}
+
+
+def assert_same(new: BiPoly, ref: ReferenceBiPoly) -> None:
+    assert list(new.terms()) == list(ref.terms())
+    assert all(type(c) is Fraction for _, _, c in new.terms())
+    # Equal to, and hashed like, the polynomial built afresh from the same
+    # coefficients: each result is held in the one canonical layout.
+    rebuilt = BiPoly({(dx, dz): c for dx, dz, c in ref.terms()})
+    assert new == rebuilt and hash(new) == hash(rebuilt)
+
+
+@example(a={}, b={}, s=0)
+@example(a=HALF_X, b=HALF_X, s=Rational(2))  # the sum's denominator drops to 1
+@example(a={(1, 0): Rational(1, 3), (0, 0): 2}, b={(1, 0): Rational(-1, 3), (0, 0): -2}, s=1)
+@example(a={(1, 0): Rational(1, 3)}, b={(0, 1): Rational(2, 5), (1, 0): Rational(1, 7)}, s=Rational(5, 11))
+@given(a=term_maps, b=term_maps, s=scalars)
+def test_ring_operations_match_reference(a, b, s):
+    p, q = BiPoly(a), BiPoly(b)
+    rp, rq = ReferenceBiPoly(a), ReferenceBiPoly(b)
+    assert_same(p, rp)
+    assert_same(p + q, rp + rq)
+    assert_same(p - q, rp - rq)
+    assert_same(p + (-q), rp - rq)
+    assert_same(-p, -rp)
+    assert_same(p * q, rp * rq)
+    assert_same(p * s, rp * s)
+    assert_same(s * p, s * rp)
+    assert_same(p + s, rp + s)
+    assert_same(s + p, s + rp)
+    assert_same(p - s, rp - s)
+    assert_same(s - p, s - rp)
+    for exponent in range(4):
+        assert_same(p**exponent, rp**exponent)
+
+
+@example(a={})
+@example(a=HALF_X)
+@example(a={(2, 1): Rational(1, 6), (1, 2): Rational(-1, 6), (3, 0): Rational(5, 4)})
+@given(a=term_maps)
+def test_calculus_matches_reference(a):
+    p, rp = BiPoly(a), ReferenceBiPoly(a)
+    for var in ("x", "z"):
+        assert_same(p.diff(var), rp.diff(var))
+    assert_same(p.diagonal(), rp.diagonal())
+    assert_same(p.diff("x") + p.diff("z"), rp.diff("x") + rp.diff("z"))
+
+
+@example(a={}, u=0, v=0)
+@example(a=HALF_X, u=Rational(-3, 7), v=0)
+@example(a={(1, 2): Rational(1, 3), (0, 1): Rational(-2, 5)}, u=-4, v=Rational(9, 2))
+@given(a=term_maps, u=wide_points, v=wide_points)
+def test_evaluation_matches_reference(a, u, v):
+    value = BiPoly(a)(u, v)
+    assert type(value) is Fraction
+    assert value == ReferenceBiPoly(a)(u, v)
+
+
+@example(a={}, b={}, s=0)
+@example(a=HALF_X, b={(1, 0): Rational(2, 4)}, s=Rational(1, 2))
+@example(a={(0, 0): Rational(3, 5)}, b={(0, 0): Rational(6, 10)}, s=Rational(3, 5))
+@example(a={(1, 0): Rational(1, 3)}, b={(1, 0): Rational(1, 5)}, s=1)
+@given(a=term_maps, b=term_maps, s=scalars)
+def test_inspection_and_equality_match_reference(a, b, s):
+    p, q = BiPoly(a), BiPoly(b)
+    rp, rq = ReferenceBiPoly(a), ReferenceBiPoly(b)
+    for dx in range(8):
+        for dz in range(8):
+            assert p.coefficient(dx, dz) == rp.coefficient(dx, dz)
+            assert type(p.coefficient(dx, dz)) is Fraction
+    assert (p == q) == (rp == rq)
+    assert (p == s) == (rp == s)
+    if p == q:
+        assert hash(p) == hash(q)
+    assert hash(BiPoly.constant(s)) == hash(Rational(s)) == hash(ReferenceBiPoly({(0, 0): s}))
+    if p.degree() <= 0:
+        assert p == p.coefficient(0, 0) and hash(p) == hash(p.coefficient(0, 0))
+    rebuilt = BiPoly([((dx, dz), c) for dx, dz, c in reversed(list(p.terms()))])
+    assert rebuilt == p and hash(rebuilt) == hash(p)
+
+
+@example(a={})
+@example(a={(0, 0): -1, (1, 0): 1, (0, 1): Rational(-1, 2)})
+@example(a={(1, 1): Rational(6, 4), (2, 0): Rational(-10, 5)})
+@given(a=term_maps)
+def test_renders_match_reference(a):
+    p, rp = BiPoly(a), ReferenceBiPoly(a)
+    assert render_plain(p) == render_plain_reference(rp)
+    assert render_latex(p) == render_latex_reference(rp)
+    assert render_json(p) == render_json_reference(rp)

@@ -3,6 +3,7 @@
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -165,6 +166,32 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     lines = out.splitlines()
     assert lines[3] == " 2  FAIL      PASS        FAIL"
     assert lines[4].endswith("PASS")
+
+
+def test_interrupt_exits_130_without_traceback(capsys, monkeypatch):
+    def interrupted(y):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli.engine, "check_diagonal", interrupted)
+    code, out, err = run(capsys, "verify", "--max-y", "3")
+    assert code == cli.EXIT_INTERRUPTED == 130
+    assert out == " y  diagonal  derivative  overall\n"
+    assert err == "interrupted\n"
+
+
+def test_sigint_exits_130_without_traceback():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    with subprocess.Popen(
+        [sys.executable, "-m", "oddpower.cli", "verify", "--max-y", "100", "--allow-large"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    ) as proc:
+        assert proc.stdout.readline().startswith(b" y  diagonal")  # the handler is in place
+        proc.send_signal(signal.SIGINT)
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 130
+    assert stderr == b"interrupted\n"
 
 
 # -- oracle ---------------------------------------------------------------

@@ -2,13 +2,22 @@
 
 import dataclasses
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import F1, F2, F3, build_poly_from_conv_sums, diagonal_reference, eval_reference
-from oddpower.bipoly import X, Z
+from helpers import (
+    F1,
+    F2,
+    F3,
+    ReferenceBiPoly,
+    build_poly_from_conv_sums,
+    diagonal_reference,
+    eval_reference,
+)
+from oddpower.bipoly import BiPoly, X, Z
 from oddpower.coefficients import solve_coeffs
 from oddpower.engine import (
     build_poly,
@@ -18,6 +27,8 @@ from oddpower.engine import (
     eval_derivative_at,
     odd_power,
 )
+from oddpower.parsing import parse_poly
+from oddpower.powersums import conv_sum, power_sum
 from oddpower.rationals import Rational
 
 
@@ -151,6 +162,59 @@ def test_diagonal_matches_reference_to_order_64():
     for y in range(65):
         for poly in (build_poly(y), derivative_sum(y)):
             assert poly.diagonal() == diagonal_reference(poly), y
+
+
+def test_derivative_check_matches_reference_layout():
+    # The verify path's diff, + and diagonal, repeated in the Fraction-per-term
+    # layout from the same coefficients.
+    for y in range(33):
+        report = check_derivative_identity(y)
+        ref = ReferenceBiPoly({(dx, dz): c for dx, dz, c in build_poly(y).terms()})
+        ref_sum = ref.diff("x") + ref.diff("z")
+        assert list(report.partial_sum.terms()) == list(ref_sum.terms()), y
+        assert list(report.diagonal_of_sum.terms()) == list(ref_sum.diagonal().terms()), y
+        assert list(derivative_sum(y).terms()) == list(ref_sum.terms()), y
+
+
+def assert_one_reduced_denominator(poly: BiPoly) -> None:
+    den, nums = poly._den, poly._nums
+    assert type(den) is int and den > 0
+    assert all(type(n) is int and n for n in nums.values())
+    assert gcd(den, *nums.values()) == 1
+
+
+def test_one_reduced_denominator_after_every_operation():
+    f_2 = build_poly(2)
+    for y in range(21):
+        f = build_poly(y)
+        partial_x, partial_z = f.diff("x"), f.diff("z")
+        results = [
+            f,
+            partial_x,
+            partial_z,
+            partial_x + partial_z,
+            (partial_x + partial_z).diagonal(),
+            f.diagonal(),
+            derivative_sum(y),
+            check_derivative_identity(y).residual,
+            -f,
+            f + f,
+            f - f,
+            f - partial_z,
+            f + Rational(1, 2),
+            Rational(1, 3) - f,
+            f * Rational(7, 3),
+            Rational(5, 7) * f,
+            f * f_2,
+            f ** (2 if y <= 8 else 1),
+            parse_poly(str(f)),
+            BiPoly(((dx, dz), c) for dx, dz, c in f.terms()),
+            conv_sum(y),
+            power_sum(2 * y),
+        ]
+        for poly in results:
+            assert_one_reduced_denominator(poly)
+    assert (build_poly(5) - build_poly(5))._den == 1
 
 
 def test_negative_order_rejected():
