@@ -9,7 +9,10 @@ Subcommands:
     oracle <m> [--max-n N]    literal integer summation check of the expansion
 
 A failed oracle check prints ``m=<m>: FAIL at n=<n> (lhs <lhs>, rhs <rhs>)``:
-the first n where the double sum (lhs) differs from n^(2m+1) (rhs).
+the first n where the double sum (lhs) differs from n^(2m+1) (rhs).  A
+``verify`` row whose derivative check fails ends in
+``  first residual term: <term>``, the lowest term in canonical order of the
+partial sum's diagonal minus (2y+1) x^(2y).
 
 Exit codes: 0 success / all checks pass, 1 a verification failed, 2 usage or
 parse error, 130 interrupted by Ctrl-C (SIGINT; ``interrupted`` is printed to
@@ -26,6 +29,7 @@ import os
 import sys
 
 from . import engine
+from .bipoly import BiPoly
 from .coefficients import first_failure, solve_coeffs
 from .rationals import Rational
 from .rendering import FORMATS, coeff_vector_json, render
@@ -180,13 +184,17 @@ def _run(argv: list[str] | None) -> int:
         failed = False
         for y in range(args.max_y + 1):
             diagonal_ok = engine.check_diagonal(y)
-            identity_ok = engine.check_derivative_identity(y).holds
-            overall = diagonal_ok and identity_ok
+            report = engine.check_derivative_identity(y)
+            overall = diagonal_ok and report.holds
             failed = failed or not overall
-            print(
-                f"{y:>2}  {_status(diagonal_ok):<8}  {_status(identity_ok):<10}  "
+            row = (
+                f"{y:>2}  {_status(diagonal_ok):<8}  {_status(report.holds):<10}  "
                 f"{_status(overall)}"
             )
+            if not report.holds:
+                dx, dz, coeff = next(report.residual.terms())
+                row += f"  first residual term: {BiPoly.monomial(dx, dz, coeff)}"
+            print(row)
         return 1 if failed else 0
 
     if args.command == "oracle":

@@ -1,27 +1,26 @@
 """Build the expansion polynomial family and verify its derivative identity.
 
 ``build_poly(y)`` assembles the two-variable polynomial whose diagonal
-z = x collapses to the odd power x^(2y+1).  It expands each convolved sum
-H_r into power sums, so every x-degree row of f_y is a sum of scaled
-Faulhaber polynomials in z, added up as integer numerators over one common
-denominator; no bivariate product is formed.  The central fact checked here
-is that the sum of its two partial derivatives, restricted to the diagonal,
-equals the ordinary derivative (2y+1) x^(2y) of that odd power.  All checks
-are symbolic zero-residual comparisons in exact arithmetic, which proves
-the identity for every real point at once rather than sampling it, and the
-diagonal check certifies the coefficient row and the assembly together.
+z = x collapses to the odd power x^(2y+1): the solved coefficient row
+combined with the convolved sums H_r by ``powersums.combine_conv_sums``,
+the one place H_r is expanded into Faulhaber power sums.  The central fact
+checked here is that the sum of its two partial derivatives, restricted to
+the diagonal, equals the ordinary derivative (2y+1) x^(2y) of that odd
+power.  All checks are symbolic zero-residual comparisons in exact
+arithmetic, which proves the identity for every real point at once rather
+than sampling it, and the diagonal check certifies the coefficient row and
+the assembly together.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm
 
-from .bipoly import BiPoly, _from_ints
+from .bipoly import BiPoly
 from .coefficients import solve_coeffs
-from .powersums import power_sum
-from .rationals import Rational, binomial
+from .powersums import combine_conv_sums
+from .rationals import Rational
 
 __all__ = [
     "IdentityReport",
@@ -36,68 +35,35 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Everything the derivative-identity check produced for one order y.
+    """The derivative-identity check for one order y.
 
-    ``holds`` is True exactly when ``residual`` is the zero polynomial,
-    where residual = diagonal_of_sum - expected_derivative.
+    ``residual`` is the diagonal of the partial-derivative sum minus the
+    expected derivative (2y+1) x^(2y); ``holds`` is True exactly when it is
+    the zero polynomial.
     """
 
     y: int
-    poly: BiPoly
-    partial_x: BiPoly
-    partial_z: BiPoly
-    partial_sum: BiPoly
-    diagonal_of_sum: BiPoly
-    expected_derivative: BiPoly
     residual: BiPoly
     holds: bool
 
 
 @lru_cache(maxsize=None)
 def build_poly(y: int) -> BiPoly:
-    """The y-th member of the family, sum_r A_r * conv_sum(r), assembled as
-
-        [x^i z^k] f_y = sum_{r=i..y} A_r * C(r, i) * (-1)^(r-i) * [z^k] S_{2r-i}(z)
-
-    with S_p = power_sum(p).  Degree 2y + 1 in z and y in x; on the
-    diagonal z = x it equals x^(2y+1) exactly.
+    """The y-th member of the family, sum_r A_r * conv_sum(r) with the row
+    A = solve_coeffs(y).  Degree 2y + 1 in z and y in x; on the diagonal
+    z = x it equals x^(2y+1) exactly.
     """
-    row = solve_coeffs(y)
-    rows: list[tuple[int, int, list[int]]] = []  # (x-degree, denominator, numerators by z-degree)
-    for i in range(y + 1):
-        parts = []
-        for r in range(i, y + 1):
-            a = row[r]
-            if a:
-                ps = power_sum(2 * r - i)
-                sign = -1 if (r - i) % 2 else 1
-                parts.append((sign * a.numerator * binomial(r, i), a.denominator * ps._den, ps._nums))
-        common = lcm(*(den for _, den, _ in parts))
-        acc = [0] * (2 * y - i + 2)  # S_{2y-i} has degree 2y - i + 1
-        for num, den, nums in parts:
-            factor = num * (common // den)
-            for (_, k), n in nums.items():
-                acc[k] += factor * n
-        rows.append((i, common, acc))
-    den = lcm(*(common for _, common, _ in rows))
-    nums: dict[tuple[int, int], int] = {}
-    for i, common, acc in rows:
-        scale = den // common
-        nums.update({(i, k): t * scale for k, t in enumerate(acc) if t})
-    return _from_ints(den, nums)
+    return combine_conv_sums(solve_coeffs(y))
 
 
-def _partials(poly: BiPoly) -> tuple[BiPoly, BiPoly, BiPoly]:
-    """The partial derivatives of ``poly`` in x and in z, and their sum."""
-    partial_x = poly.diff("x")
-    partial_z = poly.diff("z")
-    return partial_x, partial_z, partial_x + partial_z
+def _partial_sum(poly: BiPoly) -> BiPoly:
+    return poly.diff("x") + poly.diff("z")
 
 
 @lru_cache(maxsize=None)
 def derivative_sum(y: int) -> BiPoly:
     """Sum of the two partial derivatives of build_poly(y)."""
-    return _partials(build_poly(y))[2]
+    return _partial_sum(build_poly(y))
 
 
 def odd_power(y: int) -> BiPoly:
@@ -115,22 +81,10 @@ def check_diagonal(y: int) -> bool:
 def check_derivative_identity(y: int) -> IdentityReport:
     """Symbolically verify that the partial sum on the diagonal is the
     ordinary derivative (2y+1) x^(2y) of the odd power."""
-    poly = build_poly(y)
-    partial_x, partial_z, partial_sum = _partials(poly)
-    diagonal_of_sum = partial_sum.diagonal()
-    expected = BiPoly.monomial(2 * y, 0, 2 * y + 1)
-    residual = diagonal_of_sum - expected
-    return IdentityReport(
-        y=y,
-        poly=poly,
-        partial_x=partial_x,
-        partial_z=partial_z,
-        partial_sum=partial_sum,
-        diagonal_of_sum=diagonal_of_sum,
-        expected_derivative=expected,
-        residual=residual,
-        holds=residual.is_zero(),
-    )
+    # Not through derivative_sum: its cache would keep every order's partial
+    # sum alive for the whole of a verify run.
+    residual = _partial_sum(build_poly(y)).diagonal() - BiPoly.monomial(2 * y, 0, 2 * y + 1)
+    return IdentityReport(y=y, residual=residual, holds=residual.is_zero())
 
 
 def eval_derivative_at(y: int, u: int | Rational) -> Rational:

@@ -1,21 +1,28 @@
 """Power sums and convolved power sums as exact polynomials.
 
-Two families are built here.  ``power_sum(p)`` is the polynomial in z that
-agrees with sum_{k=1..z} k^p at every non-negative integer z, obtained from
-Faulhaber's formula.  ``conv_sum(r)`` extends sum_{k=1..z} k^r (x-k)^r to a
-polynomial in both x and z by expanding (x-k)^r binomially and replacing
-each inner power sum with its Faulhaber polynomial.  The polynomial reading
-is what gives both families meaning at non-integer arguments.
+``power_sum(p)`` is the polynomial in z that agrees with sum_{k=1..z} k^p at
+every non-negative integer z, obtained from Faulhaber's formula.  The
+convolved sum H_r(x, z) = sum_{k=1..z} k^r (x-k)^r extends to a polynomial
+in x and z by expanding (x-k)^r binomially and replacing each inner power
+sum with its Faulhaber polynomial.  ``combine_conv_sums(row)`` is the one
+place that expansion happens: it assembles sum_r row[r] * H_r(x, z) for any
+coefficient row, as integer rows of Faulhaber numerators over one common
+denominator, so no bivariate product is formed.  ``conv_sum(r)`` is the
+single H_r and the family builder ``engine.build_poly`` the combination
+with the solved row.  The polynomial reading is what gives these families
+meaning at non-integer arguments.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import lcm
+from typing import Sequence
 
-from .bipoly import BiPoly, _from_fractions
-from .rationals import bernoulli, binomial
+from .bipoly import BiPoly, _from_fractions, _from_ints
+from .rationals import Rational, bernoulli, binomial
 
-__all__ = ["power_sum", "conv_sum"]
+__all__ = ["power_sum", "conv_sum", "combine_conv_sums"]
 
 
 @lru_cache(maxsize=None)
@@ -31,19 +38,51 @@ def power_sum(p: int) -> BiPoly:
     """
     if p < 0:
         raise ValueError(f"p must be non-negative, got {p}")
-    terms = {}
+    terms = []
     for j in range(p + 1):
-        coeff = binomial(p + 1, j) * bernoulli(j) / (p + 1)
-        if coeff:
-            terms[(0, p + 1 - j)] = coeff
-    return BiPoly(terms)
+        b = bernoulli(j)
+        if b:
+            num = binomial(p + 1, j) * b.numerator
+            terms.append(((0, p + 1 - j), num, b.denominator * (p + 1)))
+    return _from_fractions(terms)
+
+
+def combine_conv_sums(row: Sequence[int | Rational]) -> BiPoly:
+    """sum_r row[r] * H_r(x, z) for r = 0..y, y = len(row) - 1, assembled as
+
+        [x^i z^k] = sum_{r=i..y} row[r] * C(r, i) * (-1)^(r-i) * [z^k] S_{2r-i}(z)
+
+    with S_p = power_sum(p).  Each x-degree row adds integer numerators over
+    its own common denominator; the rows are then written over one.
+    """
+    y = len(row) - 1
+    rows: list[tuple[int, int, list[int]]] = []  # (x-degree, denominator, numerators by z-degree)
+    for i in range(y + 1):
+        parts = []
+        for r in range(i, y + 1):
+            a = row[r]
+            if a:
+                ps = power_sum(2 * r - i)
+                sign = -1 if (r - i) % 2 else 1
+                parts.append((sign * a.numerator * binomial(r, i), a.denominator * ps._den, ps._nums))
+        common = lcm(*(den for _, den, _ in parts))
+        acc = [0] * (2 * y - i + 2)  # S_{2y-i} has degree 2y - i + 1
+        for num, den, nums in parts:
+            factor = num * (common // den)
+            for (_, k), n in nums.items():
+                acc[k] += factor * n
+        rows.append((i, common, acc))
+    den = lcm(*(common for _, common, _ in rows))
+    nums: dict[tuple[int, int], int] = {}
+    for i, common, acc in rows:
+        scale = den // common
+        nums.update({(i, k): t * scale for k, t in enumerate(acc) if t})
+    return _from_ints(den, nums)
 
 
 @lru_cache(maxsize=None)
 def conv_sum(r: int) -> BiPoly:
-    """The sum of k^r (x-k)^r for k = 1..z as a polynomial in x and z.
-
-    Expand (x-k)^r binomially and push each power of k through power_sum:
+    """The sum of k^r (x-k)^r for k = 1..z as a polynomial in x and z:
 
         H_r(x, z) = sum_{j=0..r} C(r, j) * (-1)^j * x^(r-j) * S_{r+j}(z)
 
@@ -52,9 +91,4 @@ def conv_sum(r: int) -> BiPoly:
     """
     if r < 0:
         raise ValueError(f"r must be non-negative, got {r}")
-    terms = []
-    for j in range(r + 1):
-        s = power_sum(r + j)
-        scale = (-1 if j % 2 else 1) * binomial(r, j)
-        terms.extend(((r - j, k), scale * n, s._den) for (_, k), n in s._nums.items())
-    return _from_fractions(terms)
+    return combine_conv_sums((0,) * r + (1,))

@@ -7,7 +7,6 @@ for equal polynomials.  JSON is emitted without whitespace.
 Schemas:
     polynomial   {"terms":[{"dx":i,"dz":j,"c":"<num>/<den>"}, ...]}
     coefficients {"m":<int>,"A":["<num>/<den>", ...]}         (index r = 0..m)
-    report       {"y":...,"holds":...,<name>:{"terms":[...]}, ...}
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from .bipoly import BiPoly, _format_terms, _reduced_terms
 
 if TYPE_CHECKING:
     from .coefficients import CoeffVector
-    from .engine import IdentityReport
 
 __all__ = [
     "RenderFormat",
@@ -30,7 +28,6 @@ __all__ = [
     "render_json",
     "poly_terms",
     "coeff_vector_json",
-    "identity_report_json",
 ]
 
 RenderFormat = Literal["plain", "latex", "json"]
@@ -73,17 +70,3 @@ def coeff_vector_json(row: "CoeffVector") -> str:
     values = [f"{a.numerator}/{a.denominator}" for a in row.values]
     return json.dumps({"m": row.m, "A": values}, separators=(",", ":"))
 
-
-def identity_report_json(report: "IdentityReport") -> str:
-    payload = {
-        "y": report.y,
-        "holds": report.holds,
-        "poly": {"terms": poly_terms(report.poly)},
-        "partial_x": {"terms": poly_terms(report.partial_x)},
-        "partial_z": {"terms": poly_terms(report.partial_z)},
-        "partial_sum": {"terms": poly_terms(report.partial_sum)},
-        "diagonal_of_sum": {"terms": poly_terms(report.diagonal_of_sum)},
-        "expected_derivative": {"terms": poly_terms(report.expected_derivative)},
-        "residual": {"terms": poly_terms(report.residual)},
-    }
-    return json.dumps(payload, separators=(",", ":"))

@@ -8,6 +8,10 @@ arbitrate between the two.
 ``solve_coeffs_by_elimination`` and ``build_poly_from_conv_sums`` are the
 generic polynomial-algebra routes that the library's closed-form solver and
 direct builder replaced; the differential tests hold the two routes equal.
+``power_sum_reference`` is the ``Fraction``-per-coefficient Faulhaber loop
+that the integer-triple ``power_sum`` replaced, and ``conv_sum_reference``
+the separate ``H_r`` expansion that the shared ``combine_conv_sums`` loop
+replaced.
 ``render_plain_reference`` and ``render_latex_reference`` are the two
 separate term-formatting loops that the shared formatter replaced.
 ``parse_poly_reference`` is the token-list parser that the one-pass
@@ -26,11 +30,11 @@ import random
 import re
 from typing import Iterable, Iterator, Mapping
 
-from oddpower.bipoly import BiPoly
+from oddpower.bipoly import BiPoly, _from_fractions
 from oddpower.coefficients import solve_coeffs
 from oddpower.parsing import MAX_DEGREE, PolyParseError, UnknownVariableError
-from oddpower.powersums import conv_sum
-from oddpower.rationals import Rational, binomial
+from oddpower.powersums import conv_sum, power_sum
+from oddpower.rationals import Rational, bernoulli, binomial
 
 F1 = BiPoly({(1, 1): 3, (0, 2): -3, (1, 2): 3, (0, 3): -2})
 
@@ -116,6 +120,27 @@ def build_poly_from_conv_sums(y: int) -> BiPoly:
     for r, a in enumerate(solve_coeffs(y)):
         acc = acc + conv_sum(r) * a
     return acc
+
+
+def power_sum_reference(p: int) -> BiPoly:
+    """Faulhaber's S_p(z) from one Fraction per coefficient."""
+    terms = {}
+    for j in range(p + 1):
+        coeff = binomial(p + 1, j) * bernoulli(j) / (p + 1)
+        if coeff:
+            terms[(0, p + 1 - j)] = coeff
+    return BiPoly(terms)
+
+
+def conv_sum_reference(r: int) -> BiPoly:
+    """H_r(x, z) = sum_{j=0..r} C(r, j) (-1)^j x^(r-j) S_{r+j}(z), written
+    as one integer triple per term of each power sum."""
+    terms = []
+    for j in range(r + 1):
+        s = power_sum(r + j)
+        scale = (-1 if j % 2 else 1) * binomial(r, j)
+        terms.extend(((r - j, k), scale * n, s._den) for (_, k), n in s._nums.items())
+    return _from_fractions(terms)
 
 
 def eval_reference(poly: BiPoly, x_val: int | Rational, z_val: int | Rational) -> Rational:

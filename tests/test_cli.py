@@ -12,6 +12,7 @@ import pytest
 
 import oddpower.cli as cli
 import oddpower.coefficients as coefficients
+import oddpower.engine as engine
 from oddpower.cli import main
 from oddpower.coefficients import CoeffVector, solve_coeffs
 from oddpower.rationals import Rational
@@ -166,6 +167,28 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     lines = out.splitlines()
     assert lines[3] == " 2  FAIL      PASS        FAIL"
     assert lines[4].endswith("PASS")
+
+
+def test_verify_failure_names_first_residual_term(capsys, monkeypatch):
+    # A_2 of order 2 off by 1/2 adds H_2 / 2, whose diagonal x^5/60 - x/60
+    # leaves the residual x^4/12 - 1/60 in the derivative check.
+    real = solve_coeffs
+    row = real(2)
+    corrupted = CoeffVector(2, (row[0], row[1], row[2] + Rational(1, 2)))
+    monkeypatch.setattr(engine, "solve_coeffs", lambda m: corrupted if m == 2 else real(m))
+    engine.build_poly.cache_clear()
+    try:
+        code, out, _ = run(capsys, "verify", "--max-y", "3")
+    finally:
+        engine.build_poly.cache_clear()
+    assert code == 1
+    assert out.splitlines() == [
+        " y  diagonal  derivative  overall",
+        " 0  PASS      PASS        PASS",
+        " 1  PASS      PASS        PASS",
+        " 2  FAIL      FAIL        FAIL  first residual term: -1/60",
+        " 3  PASS      PASS        PASS",
+    ]
 
 
 def test_interrupt_exits_130_without_traceback(capsys, monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import shift_z
+from helpers import conv_sum_reference, power_sum_reference, shift_z
 from oddpower.bipoly import X, Z
 from oddpower.powersums import conv_sum, power_sum
 from oddpower.rationals import Rational
@@ -52,6 +52,11 @@ def test_power_sum_shape(p):
 def test_power_sum_rejects_negative():
     with pytest.raises(ValueError):
         power_sum(-1)
+
+
+def test_power_sum_matches_reference_to_degree_200():
+    for p in range(201):
+        assert power_sum(p) == power_sum_reference(p), p
 
 
 def test_shift_z_examples():
@@ -100,6 +105,11 @@ def test_conv_sum_diagonal_is_odd(r):
         assert dx % 2 == 1
     top = {dx: c for dx, _, c in diag.terms()}[2 * r + 1]
     assert top == Rational(factorial(r) ** 2, factorial(2 * r + 1))
+
+
+def test_conv_sum_matches_reference_to_order_64():
+    for r in range(65):
+        assert conv_sum(r) == conv_sum_reference(r), r
 
 
 def test_conv_sum_rejects_negative():

@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 from helpers import F1, SUM1, render_latex_reference, render_plain_reference
 from oddpower.bipoly import BiPoly, X, Z
 from oddpower.coefficients import solve_coeffs
-from oddpower.engine import check_derivative_identity
 from oddpower.rationals import Rational
 from oddpower.rendering import (
     FORMATS,
     coeff_vector_json,
-    identity_report_json,
     poly_terms,
     render,
     render_json,
@@ -81,27 +79,6 @@ def test_poly_terms_order_is_canonical():
 def test_coeff_vector_json_bytes():
     assert coeff_vector_json(solve_coeffs(3)) == '{"m":3,"A":["1/1","-14/1","0/1","140/1"]}'
     assert coeff_vector_json(solve_coeffs(0)) == '{"m":0,"A":["1/1"]}'
-
-
-def test_identity_report_json_shape():
-    payload = json.loads(identity_report_json(check_derivative_identity(1)))
-    assert payload["y"] == 1
-    assert payload["holds"] is True
-    assert payload["residual"] == {"terms": []}
-    assert payload["diagonal_of_sum"] == {"terms": [{"dx": 2, "dz": 0, "c": "3/1"}]}
-    assert payload["expected_derivative"] == payload["diagonal_of_sum"]
-    assert len(payload["poly"]["terms"]) == 4
-    assert set(payload) == {
-        "y",
-        "holds",
-        "poly",
-        "partial_x",
-        "partial_z",
-        "partial_sum",
-        "diagonal_of_sum",
-        "expected_derivative",
-        "residual",
-    }
 
 
 def test_unknown_format_rejected():
