@@ -7,7 +7,7 @@ derivatives on the diagonal is the ordinary derivative (2y+1) x^(2y).
 """
 
 from .bipoly import BiPoly, X, Z
-from .coefficients import CoeffVector, first_failure, solve_coeffs, verify_identity
+from .coefficients import first_failure, solve_coeffs, verify_identity
 from .engine import (
     IdentityReport,
     build_poly,
@@ -29,7 +29,6 @@ __all__ = [
     "BiPoly",
     "X",
     "Z",
-    "CoeffVector",
     "first_failure",
     "solve_coeffs",
     "verify_identity",

@@ -4,49 +4,30 @@ For each order m there is a unique row A_0..A_m of rationals such that
 
     sum_{k=1..n} sum_{r=0..m} A_r * k^r * (n-k)^r  =  n^(2m+1)
 
-holds for every positive integer n.  ``solve_coeffs`` computes the row from
-Kolosov's closed Bernoulli recurrence, top entry first, with no polynomial
-arithmetic at all; the tests check it against triangular elimination over
-the diagonals of the convolved sums.  ``verify_identity`` checks a row the
-hard way, by literal summation with exact integer arithmetic, and
+holds for every positive integer n.  ``solve_coeffs`` computes the row, a
+plain tuple of m + 1 rationals, from Kolosov's closed Bernoulli recurrence,
+top entry first, with no polynomial arithmetic at all; the tests check it
+against triangular elimination over the diagonals of the convolved sums.
+``verify_identity`` checks a row the hard way, by literal summation with
+exact integer arithmetic over the row's lcm denominator, and
 ``first_failure`` says where such a check fails.  The two routes are
 deliberately independent of each other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from math import lcm
 
-from .rationals import Rational, bernoulli, binomial, common_denominator
+from .rationals import Rational, bernoulli, binomial
 
-__all__ = ["CoeffVector", "first_failure", "solve_coeffs", "verify_identity"]
-
-
-@dataclass(frozen=True)
-class CoeffVector:
-    """The coefficient row A_0..A_m for a fixed order m."""
-
-    m: int
-    values: tuple[Rational, ...]
-
-    def __post_init__(self):
-        if len(self.values) != self.m + 1:
-            raise ValueError(f"expected {self.m + 1} values, got {len(self.values)}")
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, r: int) -> Rational:
-        return self.values[r]
+__all__ = ["first_failure", "solve_coeffs", "verify_identity"]
 
 
 @lru_cache(maxsize=None)
-def solve_coeffs(m: int) -> CoeffVector:
-    """The unique row making the odd-power expansion an identity.
+def solve_coeffs(m: int) -> tuple[Rational, ...]:
+    """The unique row (A_0, ..., A_m) making the odd-power expansion an
+    identity, as a tuple of m + 1 rationals.
 
     Top entry A_m = (2m+1) * C(2m, m); below it, for r = m-1, ..., 0,
 
@@ -66,29 +47,30 @@ def solve_coeffs(m: int) -> CoeffVector:
                 term = values[d] * binomial(d, 2 * r + 1) * bernoulli(2 * d - 2 * r) / (d - r)
                 total += term if d % 2 else -term
         values[r] = (2 * r + 1) * binomial(2 * r, r) * total
-    return CoeffVector(m, tuple(values))
+    return tuple(values)
 
 
 def first_failure(m: int, n_max: int) -> tuple[int, Rational, int] | None:
     """Check the expansion literally for every n in 1..n_max.
 
-    Computes sum_{k=1..n} sum_{r} D*A_r * (k(n-k))^r by direct summation and
-    compares against D * n^(2m+1), where D is the lcm of the row's
-    denominators, so every operation is on plain integers.  Returns the first
-    failing ``(n, lhs, rhs)``, with lhs the double sum and rhs = n^(2m+1), or
-    None if every n passes.  No polynomial code is involved, so this is an
-    independent oracle for the solver.
+    Writes the row over the lcm D of its denominators, computes
+    sum_{k=1..n} sum_{r} D*A_r * (k(n-k))^r by direct summation and compares
+    against D * n^(2m+1), so every operation is on plain integers.  Returns
+    the first failing ``(n, lhs, rhs)``, with lhs the double sum and
+    rhs = n^(2m+1), or None if every n passes.  No polynomial code is
+    involved, so this is an independent oracle for the solver.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
-    den, nums = common_denominator(solve_coeffs(m).values)
-    row = list(nums)
+    row = solve_coeffs(m)
+    den = lcm(*(a.denominator for a in row))
+    nums = [a.numerator * (den // a.denominator) for a in row]
     for n in range(1, n_max + 1):
         total = 0
         for k in range(1, n + 1):
             base = k * (n - k)
             inner = 0
-            for a in reversed(row):
+            for a in reversed(nums):
                 inner = inner * base + a
             total += inner
         rhs = n ** (2 * m + 1)

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
-from typing import Collection, Iterator
+from math import comb
 
-__all__ = ["Rational", "binomial", "bernoulli", "common_denominator"]
+__all__ = ["Rational", "binomial", "bernoulli"]
 
 Rational = Fraction
 
@@ -27,17 +26,6 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return comb(n, k)
-
-
-def common_denominator(values: Collection[Rational]) -> tuple[int, Iterator[int]]:
-    """``values`` over their least common denominator: returns ``D`` and the
-    integer numerators ``n_k``, in order, with ``values[k] == n_k / D`` (``D``
-    is 1 for no values).  Sums of the numerators are exact sums of the values
-    times D.  The numerators are produced lazily, so a caller that adds them
-    up holds no list of them.
-    """
-    den = lcm(*(v.denominator for v in values))
-    return den, (v.numerator * (den // v.denominator) for v in values)
 
 
 @lru_cache(maxsize=None)

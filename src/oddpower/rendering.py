@@ -12,12 +12,10 @@ Schemas:
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Literal
+from typing import Literal
 
 from .bipoly import BiPoly, _format_terms, _reduced_terms
-
-if TYPE_CHECKING:
-    from .coefficients import CoeffVector
+from .rationals import Rational
 
 __all__ = [
     "RenderFormat",
@@ -66,7 +64,7 @@ def render_json(poly: BiPoly) -> str:
     return json.dumps({"terms": poly_terms(poly)}, separators=(",", ":"))
 
 
-def coeff_vector_json(row: "CoeffVector") -> str:
-    values = [f"{a.numerator}/{a.denominator}" for a in row.values]
-    return json.dumps({"m": row.m, "A": values}, separators=(",", ":"))
+def coeff_vector_json(row: tuple[Rational, ...]) -> str:
+    values = [f"{a.numerator}/{a.denominator}" for a in row]
+    return json.dumps({"m": len(row) - 1, "A": values}, separators=(",", ":"))
 

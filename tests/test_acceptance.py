@@ -98,7 +98,7 @@ def test_c6_coefficient_closed_form_to_order_20():
     x^(2m+1) with zero residual, for m = 0..20."""
     for m in range(21):
         row = solve_coeffs(m)
-        assert row.values[m] == (2 * m + 1) * binomial(2 * m, m)
+        assert row[m] == (2 * m + 1) * binomial(2 * m, m)
         combined = BiPoly.zero()
         for r, a in enumerate(row):
             combined = combined + conv_sum(r).diagonal() * a

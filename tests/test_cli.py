@@ -14,7 +14,7 @@ import oddpower.cli as cli
 import oddpower.coefficients as coefficients
 import oddpower.engine as engine
 from oddpower.cli import main
-from oddpower.coefficients import CoeffVector, solve_coeffs
+from oddpower.coefficients import solve_coeffs
 from oddpower.rationals import Rational
 
 
@@ -174,7 +174,7 @@ def test_verify_failure_names_first_residual_term(capsys, monkeypatch):
     # leaves the residual x^4/12 - 1/60 in the derivative check.
     real = solve_coeffs
     row = real(2)
-    corrupted = CoeffVector(2, (row[0], row[1], row[2] + Rational(1, 2)))
+    corrupted = (row[0], row[1], row[2] + Rational(1, 2))
     monkeypatch.setattr(engine, "solve_coeffs", lambda m: corrupted if m == 2 else real(m))
     engine.build_poly.cache_clear()
     try:
@@ -209,6 +209,9 @@ def test_sigint_exits_130_without_traceback():
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=dict(os.environ, PYTHONPATH=src),
+        # A child inherits an ignored SIGINT (pytest run as a background job),
+        # and Python then installs no KeyboardInterrupt handler; restore it.
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
     ) as proc:
         assert proc.stdout.readline().startswith(b" y  diagonal")  # the handler is in place
         proc.send_signal(signal.SIGINT)
@@ -242,7 +245,7 @@ def test_oracle_failure_exits_one(capsys, monkeypatch):
     # Row (1, 0, 30) with A_2 off by 1/2 first fails at n = 2, where the
     # double sum is A_0 + (A_0 + A_1 + A_2) = 32 + 1/2.
     row = solve_coeffs(2)
-    corrupted = CoeffVector(2, (row[0], row[1], row[2] + Rational(1, 2)))
+    corrupted = (row[0], row[1], row[2] + Rational(1, 2))
     monkeypatch.setattr(coefficients, "solve_coeffs", lambda m: corrupted)
     code, out, _ = run(capsys, "oracle", "2")
     assert code == 1

@@ -1,12 +1,17 @@
-"""Dead-code guard: every module-level private name in the package is used.
+"""Dead-code guards for the package's names.
 
 A private name (one leading underscore, not a dunder) defined at the top of a
 module under ``src/oddpower/`` by ``def``, ``class`` or assignment must be
 read somewhere in the package: as a name, as an attribute or in an import.
+A public name listed in a module's ``__all__`` must exist in that module, so
+a deletion cannot leave a stale export behind.
 """
 
 import ast
+import importlib
 from pathlib import Path
+
+import oddpower
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "oddpower"
 
@@ -45,3 +50,19 @@ def test_private_names_are_used():
     defined = [(module, name) for module, tree in trees.items() for name in _defined(tree)]
     assert defined, "no private names found; is the package path right?"
     assert [f"{module}:{name}" for module, name in defined if name not in used] == []
+
+
+def test_exports_resolve():
+    modules = [
+        importlib.import_module(f"oddpower.{path.stem}") if path.stem != "__init__" else oddpower
+        for path in sorted(PACKAGE.glob("*.py"))
+    ]
+    exporting = [module for module in modules if hasattr(module, "__all__")]
+    assert oddpower in exporting and len(exporting) > 1, "no __all__ found; is the package path right?"
+    missing = [
+        f"{module.__name__}:{name}"
+        for module in exporting
+        for name in module.__all__
+        if not hasattr(module, name)
+    ]
+    assert missing == []

@@ -79,6 +79,9 @@ def test_poly_terms_order_is_canonical():
 def test_coeff_vector_json_bytes():
     assert coeff_vector_json(solve_coeffs(3)) == '{"m":3,"A":["1/1","-14/1","0/1","140/1"]}'
     assert coeff_vector_json(solve_coeffs(0)) == '{"m":0,"A":["1/1"]}'
+    wide = json.loads(coeff_vector_json(solve_coeffs(64)))
+    assert wide["m"] == 64
+    assert wide["A"] == [f"{a.numerator}/{a.denominator}" for a in solve_coeffs(64)]
 
 
 def test_unknown_format_rejected():
