@@ -54,7 +54,7 @@ class BiPoly:
     instance, and the diagonal substitution z -> x via :meth:`diagonal`.
     """
 
-    __slots__ = ("_den", "_nums", "_sorted", "_hash")
+    __slots__ = ("_den", "_nums", "_sorted")
 
     def __init__(
         self,
@@ -73,7 +73,6 @@ class BiPoly:
         poly = _from_fractions(fractions)
         self._den, self._nums = poly._den, poly._nums
         self._sorted: list[MonomialKey] | None = None
-        self._hash: int | None = None
 
     # -- constructors ------------------------------------------------------
 
@@ -245,13 +244,10 @@ class BiPoly:
         return self._den == other._den and self._nums == other._nums
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            if not self._nums or (len(self._nums) == 1 and (0, 0) in self._nums):
-                # Constants hash like their scalar value, consistent with __eq__.
-                self._hash = hash(self.coefficient(0, 0))
-            else:
-                self._hash = hash((self._den, frozenset(self._nums.items())))
-        return self._hash
+        if not self._nums or (len(self._nums) == 1 and (0, 0) in self._nums):
+            # Constants hash like their scalar value, consistent with __eq__.
+            return hash(self.coefficient(0, 0))
+        return hash((self._den, frozenset(self._nums.items())))
 
     def __str__(self) -> str:
         return _format_terms(self, "{}/{}", "{}^{}")
@@ -272,7 +268,6 @@ def _from_ints(den: int, nums: _Numerators) -> BiPoly:
     poly._den = den
     poly._nums = nums
     poly._sorted = None
-    poly._hash = None
     return poly
 
 

@@ -12,7 +12,9 @@ A failed oracle check prints ``m=<m>: FAIL at n=<n> (lhs <lhs>, rhs <rhs>)``:
 the first n where the double sum (lhs) differs from n^(2m+1) (rhs).  A
 ``verify`` row whose derivative check fails ends in
 ``  first residual term: <term>``, the lowest term in canonical order of the
-partial sum's diagonal minus (2y+1) x^(2y).
+partial sum's diagonal minus (2y+1) x^(2y).  ``verify`` keeps one order at a
+time: after each row it clears the ``build_poly`` and ``derivative_sum``
+caches, so its memory does not grow with --max-y.
 
 Exit codes: 0 success / all checks pass, 1 a verification failed, 2 usage or
 parse error, 130 interrupted by Ctrl-C (SIGINT; ``interrupted`` is printed to
@@ -195,6 +197,8 @@ def _run(argv: list[str] | None) -> int:
                 dx, dz, coeff = next(report.residual.terms())
                 row += f"  first residual term: {BiPoly.monomial(dx, dz, coeff)}"
             print(row)
+            engine.build_poly.cache_clear()
+            engine.derivative_sum.cache_clear()
         return 1 if failed else 0
 
     if args.command == "oracle":

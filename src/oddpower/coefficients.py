@@ -19,12 +19,12 @@ from __future__ import annotations
 from functools import lru_cache
 from math import lcm
 
-from .rationals import Rational, bernoulli, binomial
+from .rationals import Rational, _check_order, bernoulli, binomial
 
 __all__ = ["first_failure", "solve_coeffs", "verify_identity"]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def solve_coeffs(m: int) -> tuple[Rational, ...]:
     """The unique row (A_0, ..., A_m) making the odd-power expansion an
     identity, as a tuple of m + 1 rationals.
@@ -36,8 +36,7 @@ def solve_coeffs(m: int) -> tuple[Rational, ...]:
 
     so A_r = 0 whenever 2r + 1 > m.  Exact rationals throughout.
     """
-    if m < 0:
-        raise ValueError(f"m must be non-negative, got {m}")
+    _check_order(m, "m")
     values: list[Rational] = [Rational(0)] * (m + 1)
     values[m] = Rational((2 * m + 1) * binomial(2 * m, m))
     for r in range(m - 1, -1, -1):
@@ -60,7 +59,8 @@ def first_failure(m: int, n_max: int) -> tuple[int, Rational, int] | None:
     rhs = n^(2m+1), or None if every n passes.  No polynomial code is
     involved, so this is an independent oracle for the solver.
     """
-    if n_max < 1:
+    _check_order(n_max, "n_max")
+    if n_max == 0:
         raise ValueError(f"n_max must be positive, got {n_max}")
     row = solve_coeffs(m)
     den = lcm(*(a.denominator for a in row))

@@ -20,7 +20,7 @@ from functools import lru_cache
 from .bipoly import BiPoly
 from .coefficients import solve_coeffs
 from .powersums import combine_conv_sums
-from .rationals import Rational
+from .rationals import Rational, _check_order
 
 __all__ = [
     "IdentityReport",
@@ -47,7 +47,7 @@ class IdentityReport:
     holds: bool
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def build_poly(y: int) -> BiPoly:
     """The y-th member of the family, sum_r A_r * conv_sum(r) with the row
     A = solve_coeffs(y).  Degree 2y + 1 in z and y in x; on the diagonal
@@ -56,20 +56,16 @@ def build_poly(y: int) -> BiPoly:
     return combine_conv_sums(solve_coeffs(y))
 
 
-def _partial_sum(poly: BiPoly) -> BiPoly:
-    return poly.diff("x") + poly.diff("z")
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def derivative_sum(y: int) -> BiPoly:
     """Sum of the two partial derivatives of build_poly(y)."""
-    return _partial_sum(build_poly(y))
+    poly = build_poly(y)
+    return poly.diff("x") + poly.diff("z")
 
 
 def odd_power(y: int) -> BiPoly:
     """The monomial x^(2y+1)."""
-    if y < 0:
-        raise ValueError(f"y must be non-negative, got {y}")
+    _check_order(y, "y")
     return BiPoly.monomial(2 * y + 1, 0)
 
 
@@ -81,9 +77,7 @@ def check_diagonal(y: int) -> bool:
 def check_derivative_identity(y: int) -> IdentityReport:
     """Symbolically verify that the partial sum on the diagonal is the
     ordinary derivative (2y+1) x^(2y) of the odd power."""
-    # Not through derivative_sum: its cache would keep every order's partial
-    # sum alive for the whole of a verify run.
-    residual = _partial_sum(build_poly(y)).diagonal() - BiPoly.monomial(2 * y, 0, 2 * y + 1)
+    residual = derivative_sum(y).diagonal() - BiPoly.monomial(2 * y, 0, 2 * y + 1)
     return IdentityReport(y=y, residual=residual, holds=residual.is_zero())
 
 

@@ -20,12 +20,12 @@ from math import lcm
 from typing import Sequence
 
 from .bipoly import BiPoly, _from_fractions, _from_ints
-from .rationals import Rational, bernoulli, binomial
+from .rationals import Rational, _check_order, bernoulli, binomial
 
 __all__ = ["power_sum", "conv_sum", "combine_conv_sums"]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def power_sum(p: int) -> BiPoly:
     """The sum of k^p for k = 1..z as a polynomial in z of degree p + 1.
 
@@ -36,8 +36,7 @@ def power_sum(p: int) -> BiPoly:
     The +1/2 convention makes the closed form inclusive of the upper bound z,
     so S_p(n) really is 1^p + ... + n^p for integer n >= 1.
     """
-    if p < 0:
-        raise ValueError(f"p must be non-negative, got {p}")
+    _check_order(p, "p")
     terms = []
     for j in range(p + 1):
         b = bernoulli(j)
@@ -80,7 +79,7 @@ def combine_conv_sums(row: Sequence[int | Rational]) -> BiPoly:
     return _from_ints(den, nums)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def conv_sum(r: int) -> BiPoly:
     """The sum of k^r (x-k)^r for k = 1..z as a polynomial in x and z:
 
@@ -89,6 +88,5 @@ def conv_sum(r: int) -> BiPoly:
     Degree in x is r, degree in z is 2r + 1.  For r = 0 the empty product
     convention k^0 (x-k)^0 = 1 gives H_0 = S_0 = z.
     """
-    if r < 0:
-        raise ValueError(f"r must be non-negative, got {r}")
+    _check_order(r, "r")
     return combine_conv_sums((0,) * r + (1,))

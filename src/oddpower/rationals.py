@@ -19,16 +19,24 @@ __all__ = ["Rational", "binomial", "bernoulli"]
 Rational = Fraction
 
 
+def _check_order(value: int, name: str) -> None:
+    """TypeError unless ``value`` is a plain int (a bool is not one, so it can
+    never alias a cached int entry), ValueError if it is negative."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+
+
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient C(n, k), defined as 0 outside 0 <= k <= n."""
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
+    _check_order(n, "n")
     if k < 0 or k > n:
         return 0
     return comb(n, k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def bernoulli(n: int) -> Rational:
     """Bernoulli number B_n under the convention B_1 = +1/2.
 
@@ -41,8 +49,7 @@ def bernoulli(n: int) -> Rational:
     correction term is needed downstream.  Values are memoized; the cache is
     invisible to callers since every result is immutable.
     """
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
+    _check_order(n, "n")
     if n == 0:
         return Rational(1)
     if n > 2 and n % 2 == 1:

@@ -177,10 +177,12 @@ def test_verify_failure_names_first_residual_term(capsys, monkeypatch):
     corrupted = (row[0], row[1], row[2] + Rational(1, 2))
     monkeypatch.setattr(engine, "solve_coeffs", lambda m: corrupted if m == 2 else real(m))
     engine.build_poly.cache_clear()
+    engine.derivative_sum.cache_clear()
     try:
         code, out, _ = run(capsys, "verify", "--max-y", "3")
     finally:
         engine.build_poly.cache_clear()
+        engine.derivative_sum.cache_clear()
     assert code == 1
     assert out.splitlines() == [
         " y  diagonal  derivative  overall",
@@ -189,6 +191,23 @@ def test_verify_failure_names_first_residual_term(capsys, monkeypatch):
         " 2  FAIL      FAIL        FAIL  first residual term: -1/60",
         " 3  PASS      PASS        PASS",
     ]
+
+
+def test_verify_holds_one_order_at_a_time(capsys, monkeypatch):
+    real = engine.check_derivative_identity
+    sizes = []
+
+    def recording(y):
+        report = real(y)
+        sizes.append([fn.cache_info().currsize for fn in (engine.build_poly, engine.derivative_sum)])
+        return report
+
+    monkeypatch.setattr(engine, "check_derivative_identity", recording)
+    code, _, _ = run(capsys, "verify", "--max-y", "12")
+    assert code == 0
+    assert len(sizes) == 13
+    assert max(max(pair) for pair in sizes) <= 1
+    assert [fn.cache_info().currsize for fn in (engine.build_poly, engine.derivative_sum)] == [0, 0]
 
 
 def test_interrupt_exits_130_without_traceback(capsys, monkeypatch):

@@ -133,6 +133,9 @@ def test_oracle_rejects_bad_bounds():
         verify_identity(2, 0)
     with pytest.raises(ValueError):
         first_failure(2, 0)
+    for bad in (30.0, True):
+        with pytest.raises(TypeError):
+            first_failure(2, bad)
 
 
 def test_solver_is_deterministic():

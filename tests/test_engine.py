@@ -29,7 +29,7 @@ from oddpower.engine import (
 )
 from oddpower.parsing import parse_poly
 from oddpower.powersums import conv_sum, power_sum
-from oddpower.rationals import Rational
+from oddpower.rationals import Rational, bernoulli
 
 
 def test_order_zero_is_plain_count():
@@ -223,6 +223,21 @@ def test_negative_order_rejected():
 
 def test_build_poly_is_cached():
     assert build_poly(4) is build_poly(4)
+
+
+@pytest.mark.parametrize(
+    "layer",
+    [bernoulli, power_sum, conv_sum, solve_coeffs, build_poly, derivative_sum, odd_power],
+    ids=lambda fn: fn.__name__,
+)
+def test_non_int_order_rejected_after_warm_int_call(layer):
+    # An order is a plain int whatever the cache holds: 2.0 and True hash and
+    # compare equal to 2 and 1, so an untyped cache would hand them the int entry.
+    layer(2)
+    layer(1)
+    for bad in (2.0, True):
+        with pytest.raises(TypeError):
+            layer(bad)
 
 
 def test_report_is_frozen():
