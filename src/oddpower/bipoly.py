@@ -46,6 +46,11 @@ def _as_rational(value: CoefficientLike) -> Rational:
     raise TypeError(f"coefficients must be int or Rational, got {type(value).__name__}")
 
 
+def _check_degree_types(deg_x: int, deg_z: int) -> None:
+    if type(deg_x) is not int or type(deg_z) is not int:  # bool is an int subclass
+        raise TypeError(f"degrees must be int, got ({deg_x!r}, {deg_z!r})")
+
+
 class BiPoly:
     """An exact polynomial in x and z over the rationals.
 
@@ -64,8 +69,7 @@ class BiPoly:
         items = terms.items() if isinstance(terms, Mapping) else terms
         fractions: list[tuple[MonomialKey, int, int]] = []
         for (deg_x, deg_z), coeff in items:
-            if type(deg_x) is not int or type(deg_z) is not int:  # bool is an int subclass
-                raise TypeError(f"degrees must be int, got ({deg_x!r}, {deg_z!r})")
+            _check_degree_types(deg_x, deg_z)
             if deg_x < 0 or deg_z < 0:
                 raise ValueError(f"degrees must be non-negative, got ({deg_x}, {deg_z})")
             value = _as_rational(coeff)
@@ -105,6 +109,7 @@ class BiPoly:
 
     def coefficient(self, deg_x: int, deg_z: int) -> Rational:
         """Coefficient of x^deg_x z^deg_z, zero if the monomial is absent."""
+        _check_degree_types(deg_x, deg_z)
         return Rational(self._nums.get((deg_x, deg_z), 0), self._den)
 
     def _keys(self) -> list[MonomialKey]:

@@ -17,9 +17,9 @@ deliberately independent of each other.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import lcm
+from math import comb, lcm
 
-from .rationals import Rational, _check_order, bernoulli, binomial
+from .rationals import Rational, _check_order, bernoulli
 
 __all__ = ["first_failure", "solve_coeffs", "verify_identity"]
 
@@ -34,18 +34,26 @@ def solve_coeffs(m: int) -> tuple[Rational, ...]:
         A_r = (2r+1) * C(2r, r) * sum_{d=2r+1..m} A_d * C(d, 2r+1)
                                     * (-1)^(d-1) * B_{2d-2r} / (d-r)
 
-    so A_r = 0 whenever 2r + 1 > m.  Exact rationals throughout.
+    so A_r = 0 whenever 2r + 1 > m.  Each A_r is summed on integers: every
+    d-term is an integer numerator over A_d's denominator times B's
+    denominator times (d - r), the terms are added over the lcm of those
+    denominators, and the one ``Rational`` formed from the sum is reduced by
+    one gcd.
     """
     _check_order(m, "m")
     values: list[Rational] = [Rational(0)] * (m + 1)
-    values[m] = Rational((2 * m + 1) * binomial(2 * m, m))
+    values[m] = Rational((2 * m + 1) * comb(2 * m, m))
     for r in range(m - 1, -1, -1):
-        total = Rational(0)
+        terms = []  # (numerator, denominator) of each nonzero d-term
         for d in range(2 * r + 1, m + 1):
-            if values[d]:
-                term = values[d] * binomial(d, 2 * r + 1) * bernoulli(2 * d - 2 * r) / (d - r)
-                total += term if d % 2 else -term
-        values[r] = (2 * r + 1) * binomial(2 * r, r) * total
+            a = values[d]
+            if a:
+                b = bernoulli(2 * d - 2 * r)
+                num = a.numerator * comb(d, 2 * r + 1) * b.numerator
+                terms.append((num if d % 2 else -num, a.denominator * b.denominator * (d - r)))
+        den = lcm(*(t_den for _, t_den in terms))
+        total = sum(num * (den // t_den) for num, t_den in terms)
+        values[r] = Rational((2 * r + 1) * comb(2 * r, r) * total, den)
     return tuple(values)
 
 

@@ -6,21 +6,24 @@ convolved sum H_r(x, z) = sum_{k=1..z} k^r (x-k)^r extends to a polynomial
 in x and z by expanding (x-k)^r binomially and replacing each inner power
 sum with its Faulhaber polynomial.  ``combine_conv_sums(row)`` is the one
 place that expansion happens: it assembles sum_r row[r] * H_r(x, z) for any
-coefficient row, as integer rows of Faulhaber numerators over one common
-denominator, so no bivariate product is formed.  ``conv_sum(r)`` is the
-single H_r and the family builder ``engine.build_poly`` the combination
-with the solved row.  The polynomial reading is what gives these families
-meaning at non-integer arguments.
+coefficient row, as one integer row of Faulhaber numerators per x-degree.
+Each row is reduced by its content (the gcd of its denominator and
+numerators) as soon as it is formed, FLINT ``fmpq_poly`` style, and the rows
+are then written over the lcm of their small denominators, so no bivariate
+product is formed and no oversized denominator is carried to the end.
+``conv_sum(r)`` is the single H_r and the family builder
+``engine.build_poly`` the combination with the solved row.  The polynomial
+reading is what gives these families meaning at non-integer arguments.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import lcm
+from math import comb, gcd, lcm
 from typing import Sequence
 
 from .bipoly import BiPoly, _from_fractions, _from_ints
-from .rationals import Rational, _check_order, bernoulli, binomial
+from .rationals import Rational, _check_order, bernoulli
 
 __all__ = ["power_sum", "conv_sum", "combine_conv_sums"]
 
@@ -41,7 +44,7 @@ def power_sum(p: int) -> BiPoly:
     for j in range(p + 1):
         b = bernoulli(j)
         if b:
-            num = binomial(p + 1, j) * b.numerator
+            num = comb(p + 1, j) * b.numerator
             terms.append(((0, p + 1 - j), num, b.denominator * (p + 1)))
     return _from_fractions(terms)
 
@@ -52,7 +55,10 @@ def combine_conv_sums(row: Sequence[int | Rational]) -> BiPoly:
         [x^i z^k] = sum_{r=i..y} row[r] * C(r, i) * (-1)^(r-i) * [z^k] S_{2r-i}(z)
 
     with S_p = power_sum(p).  Each x-degree row adds integer numerators over
-    its own common denominator; the rows are then written over one.
+    its own common denominator and is then reduced by the gcd of that
+    denominator and its numerators, so its denominator divides that of the
+    result.  The rows are written over the lcm of those small denominators,
+    which is already the reduced denominator of the result.
     """
     y = len(row) - 1
     rows: list[tuple[int, int, list[int]]] = []  # (x-degree, denominator, numerators by z-degree)
@@ -63,13 +69,17 @@ def combine_conv_sums(row: Sequence[int | Rational]) -> BiPoly:
             if a:
                 ps = power_sum(2 * r - i)
                 sign = -1 if (r - i) % 2 else 1
-                parts.append((sign * a.numerator * binomial(r, i), a.denominator * ps._den, ps._nums))
+                parts.append((sign * a.numerator * comb(r, i), a.denominator * ps._den, ps._nums))
         common = lcm(*(den for _, den, _ in parts))
         acc = [0] * (2 * y - i + 2)  # S_{2y-i} has degree 2y - i + 1
         for num, den, nums in parts:
             factor = num * (common // den)
             for (_, k), n in nums.items():
                 acc[k] += factor * n
+        g = gcd(common, *acc)
+        if g != 1:
+            common //= g
+            acc = [t // g for t in acc]
         rows.append((i, common, acc))
     den = lcm(*(common for _, common, _ in rows))
     nums: dict[tuple[int, int], int] = {}

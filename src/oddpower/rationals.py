@@ -1,18 +1,21 @@
 """Exact coefficient arithmetic: rationals, binomials, Bernoulli numbers.
 
-``Rational`` is the coefficient field used everywhere in this package.  It is
-the standard library ``fractions.Fraction``, which already provides the
-canonical form the rest of the code relies on: the denominator is always
-positive, numerator and denominator are coprime, zero is uniquely 0/1, and
-all arithmetic is exact at arbitrary precision.  Division by zero raises
-``ZeroDivisionError``.
+``Rational`` is the type of every rational value the package hands out:
+Bernoulli numbers, coefficient rows, ``BiPoly`` coefficients and evaluation
+results.  It is the standard library ``fractions.Fraction``, whose canonical
+form the rest of the code relies on: the denominator is always positive,
+numerator and denominator are coprime, zero is uniquely 0/1, and all
+arithmetic is exact at arbitrary precision.  Division by zero raises
+``ZeroDivisionError``.  Inner loops do not add ``Rational`` values one by
+one: they sum integer numerators over a common denominator and form one
+``Rational`` (or, in ``BiPoly``, one reduced denominator) at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
 __all__ = ["Rational", "binomial", "bernoulli"]
 
@@ -31,6 +34,8 @@ def _check_order(value: int, name: str) -> None:
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient C(n, k), defined as 0 outside 0 <= k <= n."""
     _check_order(n, "n")
+    if type(k) is not int:  # not isinstance: bool is an int subclass
+        raise TypeError(f"k must be an int, got {type(k).__name__}")
     if k < 0 or k > n:
         return 0
     return comb(n, k)
@@ -46,7 +51,10 @@ def bernoulli(n: int) -> Rational:
 
     which pins B_1 to +1/2.  With this sign choice the power-sum polynomial
     assembled from these numbers includes its upper summation bound, so no
-    correction term is needed downstream.  Values are memoized; the cache is
+    correction term is needed downstream.  The sum over j < n is taken on
+    integers: each C(n+1, j) * B_j is written over the lcm L of the
+    denominators of B_0..B_(n-1), and B_n = ((n+1) * L - sum) / ((n+1) * L)
+    is the one ``Rational`` formed.  Values are memoized; the cache is
     invisible to callers since every result is immutable.
     """
     _check_order(n, "n")
@@ -56,7 +64,9 @@ def bernoulli(n: int) -> Rational:
         # Odd Bernoulli numbers above B_1 vanish; skipping the sum here is a
         # shortcut only, the defining recurrence is asserted in the tests.
         return Rational(0)
-    acc = Rational(0)
-    for j in range(n):
-        acc += binomial(n + 1, j) * bernoulli(j)
-    return (n + 1 - acc) / (n + 1)
+    earlier = [bernoulli(j) for j in range(n)]
+    den = lcm(*(b.denominator for b in earlier))
+    acc = sum(
+        comb(n + 1, j) * b.numerator * (den // b.denominator) for j, b in enumerate(earlier) if b
+    )
+    return Rational((n + 1) * den - acc, (n + 1) * den)

@@ -8,6 +8,9 @@ arbitrate between the two.
 ``solve_coeffs_by_elimination`` and ``build_poly_from_conv_sums`` are the
 generic polynomial-algebra routes that the library's closed-form solver and
 direct builder replaced; the differential tests hold the two routes equal.
+``bernoulli_reference`` and ``solve_coeffs_reference`` are the
+``Fraction``-per-term recurrences that the integer sums over one lcm in
+``bernoulli`` and ``solve_coeffs`` replaced.
 ``power_sum_reference`` is the ``Fraction``-per-coefficient Faulhaber loop
 that the integer-triple ``power_sum`` replaced, and ``conv_sum_reference``
 the separate ``H_r`` expansion that the shared ``combine_conv_sums`` loop
@@ -111,6 +114,33 @@ def solve_coeffs_by_elimination(m: int) -> list[Rational]:
         values[r] = a
         residual = residual - diagonals[r] * a
     assert residual.is_zero(), f"nonzero residual after solving order {m}: {residual}"
+    return values
+
+
+def bernoulli_reference(n_max: int) -> list[Rational]:
+    """B_0..B_n_max from sum_{j=0..n} C(n+1, j) B_j = n + 1, one Fraction
+    operation per term and no odd-index shortcut."""
+    values: list[Rational] = []
+    for n in range(n_max + 1):
+        acc = Rational(0)
+        for j, b in enumerate(values):
+            acc += binomial(n + 1, j) * b
+        values.append((n + 1 - acc) / (n + 1))
+    return values
+
+
+def solve_coeffs_reference(m: int) -> list[Rational]:
+    """The row A_0..A_m from Kolosov's Bernoulli recurrence, one Fraction
+    operation per d-term."""
+    values = [Rational(0)] * (m + 1)
+    values[m] = Rational((2 * m + 1) * binomial(2 * m, m))
+    for r in range(m - 1, -1, -1):
+        total = Rational(0)
+        for d in range(2 * r + 1, m + 1):
+            if values[d]:
+                term = values[d] * binomial(d, 2 * r + 1) * bernoulli(2 * d - 2 * r) / (d - r)
+                total += term if d % 2 else -term
+        values[r] = (2 * r + 1) * binomial(2 * r, r) * total
     return values
 
 

@@ -5,17 +5,23 @@ The harness clears the cache of each name in its ``CACHED`` tuple, calls the
 package through a module object named ``lib``, and reads ``.holds`` of the
 derivative check.  A simplification of the library that drops any of these
 would break the benchmark's runs rather than any test, so they are read from
-the harness source with ``ast`` and checked here.
+the harness source with ``ast`` and checked here.  The CLI output the
+harness compares byte for byte with ``oddbench/expected.json`` is checked
+here too, so a change that breaks it fails a test before it fails every
+benchmark pass.
 """
 
 import ast
+import json
 from pathlib import Path
 
 import pytest
 
 import oddpower
+from oddpower.cli import main
 
 RUN_PY = Path(__file__).resolve().parent.parent / "oddbench" / "run.py"
+EXPECTED = json.loads((RUN_PY.parent / "expected.json").read_text())
 TREE = ast.parse(RUN_PY.read_text())
 
 
@@ -60,3 +66,16 @@ def test_harness_call_is_exported(name):
 def test_checks_hold_for_small_orders(y):
     assert oddpower.check_derivative_identity(y).holds is True
     assert oddpower.check_diagonal(y) is True
+
+
+@pytest.mark.parametrize(
+    "argv,expected_out",
+    [
+        (["verify", "--max-y", "64"], "\n".join(EXPECTED["verify"]) + "\n"),
+        (["coeffs", "0"], EXPECTED["coeffs_0"] + "\n"),
+    ],
+)
+def test_cli_output_matches_benchmark_expectation(capsys, argv, expected_out):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (0, expected_out, "")

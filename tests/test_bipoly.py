@@ -69,6 +69,15 @@ def test_non_int_degrees_and_bool_coefficients_rejected():
         X * True
 
 
+def test_coefficient_rejects_non_int_degrees():
+    # True and 1.0 hash and compare equal to 1, so without the check they
+    # would silently read the x coefficient.
+    assert X.coefficient(1, 0) == 1
+    for key in ((True, 0), (1.0, 0), (0, False)):
+        with pytest.raises(TypeError):
+            X.coefficient(*key)
+
+
 def test_float_coefficients_rejected():
     with pytest.raises(TypeError):
         BiPoly({(0, 0): 0.5})

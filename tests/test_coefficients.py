@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import solve_coeffs_by_elimination
+from helpers import solve_coeffs_by_elimination, solve_coeffs_reference
 from oddpower.bipoly import X
 import oddpower.coefficients as coefficients
 from oddpower.coefficients import first_failure, solve_coeffs, verify_identity
@@ -53,6 +53,12 @@ def test_recurrence_matches_elimination():
 @given(m=st.integers(0, 64))
 def test_recurrence_matches_elimination_to_order_64(m):
     assert list(solve_coeffs(m)) == solve_coeffs_by_elimination(m)
+
+
+def test_integer_sums_match_fraction_recurrence_to_order_128():
+    # m = 11 is the first row with fractional entries.
+    for m in range(129):
+        assert list(solve_coeffs(m)) == solve_coeffs_reference(m), m
 
 
 @pytest.mark.parametrize("m", [*range(7), 11, 12, 16])

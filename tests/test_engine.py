@@ -53,6 +53,11 @@ def test_direct_assembly_matches_conv_sum_builder_to_order_64(y):
     assert build_poly(y) == build_poly_from_conv_sums(y)
 
 
+@pytest.mark.parametrize("y", [65, 97, 128])
+def test_direct_assembly_matches_conv_sum_builder_above_order_64(y):
+    assert build_poly(y) == build_poly_from_conv_sums(y)
+
+
 @pytest.mark.parametrize("y", range(8))
 def test_degrees(y):
     poly = build_poly(y)

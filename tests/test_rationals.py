@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import bernoulli_reference
 from oddpower.rationals import Rational, bernoulli, binomial
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
@@ -104,6 +105,13 @@ def test_binomial_negative_n_raises():
         binomial(-1, 0)
 
 
+def test_binomial_rejects_non_int_k():
+    for bad in (True, 2.0, Fraction(2)):
+        with pytest.raises(TypeError, match="k must be an int"):
+            binomial(5, bad)
+    assert binomial(5, -1) == binomial(5, 6) == 0
+
+
 def test_binomial_symmetry_and_pascal():
     for n in range(12):
         for k in range(n + 1):
@@ -131,6 +139,13 @@ def test_bernoulli_defining_recurrence():
     for n in range(61):
         acc = sum(binomial(n + 1, j) * bernoulli(j) for j in range(n + 1))
         assert acc == n + 1, f"recurrence fails at n={n}"
+
+
+def test_bernoulli_matches_fraction_recurrence():
+    # Every B_n that verify --max-y 128 reads (power sums up to S_257).
+    reference = bernoulli_reference(258)
+    assert [bernoulli(n) for n in range(259)] == reference
+    assert all(type(bernoulli(n)) is Rational for n in range(259))
 
 
 def test_bernoulli_negative_raises():
