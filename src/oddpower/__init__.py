@@ -15,12 +15,10 @@ from .engine import (
     check_diagonal,
     derivative_sum,
     eval_derivative_at,
-    odd_power,
 )
-from .fixtures import Fixture, load_fixtures
 from .parsing import PolyParseError, UnknownVariableError, parse_poly
 from .powersums import conv_sum, power_sum
-from .rationals import Rational, bernoulli, binomial
+from .rationals import Rational, bernoulli
 from .rendering import render
 
 __version__ = "0.1.0"
@@ -38,9 +36,6 @@ __all__ = [
     "check_diagonal",
     "derivative_sum",
     "eval_derivative_at",
-    "odd_power",
-    "Fixture",
-    "load_fixtures",
     "PolyParseError",
     "UnknownVariableError",
     "parse_poly",
@@ -48,6 +43,5 @@ __all__ = [
     "power_sum",
     "Rational",
     "bernoulli",
-    "binomial",
     "render",
 ]

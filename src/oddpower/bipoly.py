@@ -31,7 +31,7 @@ from typing import Iterable, Iterator, Mapping, Union
 
 from .rationals import Rational
 
-__all__ = ["BiPoly", "MonomialKey", "X", "Z"]
+__all__ = ["BiPoly", "X", "Z"]
 
 MonomialKey = tuple[int, int]
 CoefficientLike = Union[int, Rational]
@@ -122,10 +122,6 @@ class BiPoly:
         den, nums = self._den, self._nums
         for key in self._keys():
             yield key[0], key[1], Rational(nums[key], den)
-
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        return max((dx + dz for dx, dz in self._nums), default=-1)
 
     def degree_x(self) -> int:
         return max((dx for dx, _ in self._nums), default=-1)

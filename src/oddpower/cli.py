@@ -17,9 +17,11 @@ time: after each row it clears the ``build_poly`` and ``derivative_sum``
 caches, so its memory does not grow with --max-y.
 
 Exit codes: 0 success / all checks pass, 1 a verification failed, 2 usage or
-parse error, 130 interrupted by Ctrl-C (SIGINT; ``interrupted`` is printed to
-stderr, with no traceback), 141 stdout was closed before the output was
-written (as in ``oddpower poly 64 | head``; nothing is printed to stderr).  Orders above 64,
+parse error, or an ``eval`` value with more digits than the interpreter
+prints (``sys.get_int_max_str_digits()``, 4300 by default), 130 interrupted
+by Ctrl-C (SIGINT; ``interrupted`` is printed to stderr, with no traceback),
+141 stdout was closed before the output was written (as in
+``oddpower poly 64 | head``; nothing is printed to stderr).  Orders above 64,
 and oracle ranges --max-n above 1000, are refused unless --allow-large is
 given, to keep accidental runtimes in check.
 """
@@ -175,11 +177,18 @@ def _run(argv: list[str] | None) -> int:
     if args.command == "eval":
         value = engine.eval_derivative_at(args.y, args.at)
         closed_form = (2 * args.y + 1) * args.at ** (2 * args.y)
-        if value == closed_form:
-            print(f"{value} = {closed_form}")
-            return 0
-        print(f"{value} != {closed_form} MISMATCH")
-        return 1
+        holds = value == closed_form
+        try:
+            line = f"{value} = {closed_form}" if holds else f"{value} != {closed_form} MISMATCH"
+        except ValueError:  # a numerator or denominator too long for str()
+            print(
+                f"error: the value has more than {sys.get_int_max_str_digits()} digits, the "
+                "interpreter's limit for printing an integer (PYTHONINTMAXSTRDIGITS raises it)",
+                file=sys.stderr,
+            )
+            return 2
+        print(line)
+        return 0 if holds else 1
 
     if args.command == "verify":
         print(" y  diagonal  derivative  overall")

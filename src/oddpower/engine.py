@@ -20,13 +20,12 @@ from functools import lru_cache
 from .bipoly import BiPoly
 from .coefficients import solve_coeffs
 from .powersums import combine_conv_sums
-from .rationals import Rational, _check_order
+from .rationals import Rational
 
 __all__ = [
     "IdentityReport",
     "build_poly",
     "derivative_sum",
-    "odd_power",
     "check_diagonal",
     "check_derivative_identity",
     "eval_derivative_at",
@@ -63,15 +62,9 @@ def derivative_sum(y: int) -> BiPoly:
     return poly.diff("x") + poly.diff("z")
 
 
-def odd_power(y: int) -> BiPoly:
-    """The monomial x^(2y+1)."""
-    _check_order(y, "y")
-    return BiPoly.monomial(2 * y + 1, 0)
-
-
 def check_diagonal(y: int) -> bool:
     """True iff build_poly(y) collapses to x^(2y+1) on the diagonal."""
-    return build_poly(y).diagonal() == odd_power(y)
+    return build_poly(y).diagonal() == BiPoly.monomial(2 * y + 1, 0)
 
 
 def check_derivative_identity(y: int) -> IdentityReport:

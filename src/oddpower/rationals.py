@@ -1,4 +1,4 @@
-"""Exact coefficient arithmetic: rationals, binomials, Bernoulli numbers.
+"""Exact coefficient arithmetic: rationals and Bernoulli numbers.
 
 ``Rational`` is the type of every rational value the package hands out:
 Bernoulli numbers, coefficient rows, ``BiPoly`` coefficients and evaluation
@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 
-__all__ = ["Rational", "binomial", "bernoulli"]
+__all__ = ["Rational", "bernoulli"]
 
 Rational = Fraction
 
@@ -29,16 +29,6 @@ def _check_order(value: int, name: str) -> None:
         raise TypeError(f"{name} must be an int, got {type(value).__name__}")
     if value < 0:
         raise ValueError(f"{name} must be non-negative, got {value}")
-
-
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k), defined as 0 outside 0 <= k <= n."""
-    _check_order(n, "n")
-    if type(k) is not int:  # not isinstance: bool is an int subclass
-        raise TypeError(f"k must be an int, got {type(k).__name__}")
-    if k < 0 or k > n:
-        return 0
-    return comb(n, k)
 
 
 @lru_cache(maxsize=None, typed=True)

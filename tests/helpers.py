@@ -1,9 +1,10 @@
-"""Shared test helpers: hand-entered reference polynomials, reference
-implementations and random generators.
+"""Shared test helpers: hand-entered reference polynomials, the reference
+corpus, reference implementations and random generators.
 
 The F1/F2/F3 dicts are typed in term by term from the known closed forms,
-independently of both the builder and the bundled text corpus, so they can
-arbitrate between the two.
+independently of both the builder and the text corpus, so they can
+arbitrate between the two.  ``load_corpus`` reads that corpus,
+``reference_fixtures.txt`` next to this file.
 
 ``solve_coeffs_by_elimination`` and ``build_poly_from_conv_sums`` are the
 generic polynomial-algebra routes that the library's closed-form solver and
@@ -31,13 +32,42 @@ from __future__ import annotations
 import json
 import random
 import re
+from math import comb
+from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 from oddpower.bipoly import BiPoly, _from_fractions
 from oddpower.coefficients import solve_coeffs
-from oddpower.parsing import MAX_DEGREE, PolyParseError, UnknownVariableError
+from oddpower.parsing import MAX_DEGREE, PolyParseError, UnknownVariableError, parse_poly
 from oddpower.powersums import conv_sum, power_sum
-from oddpower.rationals import Rational, bernoulli, binomial
+from oddpower.rationals import Rational, bernoulli
+
+CORPUS = Path(__file__).resolve().parent / "reference_fixtures.txt"
+_ENTRY_RE = re.compile(r'^"(?P<name>[^"]+)"\s+"[^"]*"\s*:=\s*(?P<expr>.+)$')
+
+
+def load_corpus(lines: Iterable[str] | None = None) -> dict[str, BiPoly]:
+    """The reference corpus, or ``lines`` in its format, as {name: polynomial}
+    in file order.  An entry line is ``"<name>" "<source-ref>" := <expression>``
+    in the syntax of ``parse_poly``; blank lines and ``#`` comments are skipped."""
+    if lines is None:
+        lines = CORPUS.read_text(encoding="utf-8").splitlines()
+    corpus: dict[str, BiPoly] = {}
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        match = _ENTRY_RE.match(line)
+        if match is None:
+            raise ValueError(f"line {lineno}: malformed corpus line: {line!r}")
+        name = match["name"]
+        if name in corpus:
+            raise ValueError(f"line {lineno}: duplicate name {name!r}")
+        try:
+            corpus[name] = parse_poly(match["expr"])
+        except PolyParseError as exc:
+            raise ValueError(f"line {lineno}: {name!r}: {exc}") from exc
+    return corpus
 
 F1 = BiPoly({(1, 1): 3, (0, 2): -3, (1, 2): 3, (0, 3): -2})
 
@@ -124,7 +154,7 @@ def bernoulli_reference(n_max: int) -> list[Rational]:
     for n in range(n_max + 1):
         acc = Rational(0)
         for j, b in enumerate(values):
-            acc += binomial(n + 1, j) * b
+            acc += comb(n + 1, j) * b
         values.append((n + 1 - acc) / (n + 1))
     return values
 
@@ -133,14 +163,14 @@ def solve_coeffs_reference(m: int) -> list[Rational]:
     """The row A_0..A_m from Kolosov's Bernoulli recurrence, one Fraction
     operation per d-term."""
     values = [Rational(0)] * (m + 1)
-    values[m] = Rational((2 * m + 1) * binomial(2 * m, m))
+    values[m] = Rational((2 * m + 1) * comb(2 * m, m))
     for r in range(m - 1, -1, -1):
         total = Rational(0)
         for d in range(2 * r + 1, m + 1):
             if values[d]:
-                term = values[d] * binomial(d, 2 * r + 1) * bernoulli(2 * d - 2 * r) / (d - r)
+                term = values[d] * comb(d, 2 * r + 1) * bernoulli(2 * d - 2 * r) / (d - r)
                 total += term if d % 2 else -term
-        values[r] = (2 * r + 1) * binomial(2 * r, r) * total
+        values[r] = (2 * r + 1) * comb(2 * r, r) * total
     return values
 
 
@@ -156,7 +186,7 @@ def power_sum_reference(p: int) -> BiPoly:
     """Faulhaber's S_p(z) from one Fraction per coefficient."""
     terms = {}
     for j in range(p + 1):
-        coeff = binomial(p + 1, j) * bernoulli(j) / (p + 1)
+        coeff = comb(p + 1, j) * bernoulli(j) / (p + 1)
         if coeff:
             terms[(0, p + 1 - j)] = coeff
     return BiPoly(terms)
@@ -168,7 +198,7 @@ def conv_sum_reference(r: int) -> BiPoly:
     terms = []
     for j in range(r + 1):
         s = power_sum(r + j)
-        scale = (-1 if j % 2 else 1) * binomial(r, j)
+        scale = (-1 if j % 2 else 1) * comb(r, j)
         terms.extend(((r - j, k), scale * n, s._den) for (_, k), n in s._nums.items())
     return _from_fractions(terms)
 
@@ -311,7 +341,7 @@ def shift_z(poly: BiPoly, offset: int | Rational) -> BiPoly:
     out = BiPoly.zero()
     for dx, dz, coeff in poly.terms():
         expanded = {
-            (dx, k): coeff * binomial(dz, k) * offset ** (dz - k) for k in range(dz + 1)
+            (dx, k): coeff * comb(dz, k) * offset ** (dz - k) for k in range(dz + 1)
         }
         out = out + BiPoly(expanded)
     return out

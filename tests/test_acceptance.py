@@ -9,17 +9,17 @@ but every generated case must still pass.
 """
 
 import time
+from math import comb
 from random import Random
 
-from helpers import F1, F2, F3, random_bipoly, random_rational
+from helpers import F1, F2, F3, load_corpus, random_bipoly, random_rational
 from oddpower.bipoly import BiPoly, X
 from oddpower.cli import main
 from oddpower.coefficients import solve_coeffs
 from oddpower.engine import build_poly, derivative_sum, eval_derivative_at
-from oddpower.fixtures import load_fixtures
 from oddpower.parsing import parse_poly
 from oddpower.powersums import conv_sum
-from oddpower.rationals import Rational, binomial
+from oddpower.rationals import Rational
 
 SEED = 20250823
 
@@ -27,10 +27,10 @@ SEED = 20250823
 def test_c1_family_polynomials_match_fixtures():
     """The first three family polynomials equal their stored fixtures, < 1 s."""
     start = time.perf_counter()
-    fixtures = load_fixtures()
-    assert fixtures["f_1"].poly == build_poly(1) == F1
-    assert fixtures["f_2"].poly == build_poly(2) == F2
-    assert fixtures["f_3"].poly == build_poly(3) == F3
+    corpus = load_corpus()
+    assert corpus["f_1"] == build_poly(1) == F1
+    assert corpus["f_2"] == build_poly(2) == F2
+    assert corpus["f_3"] == build_poly(3) == F3
     assert time.perf_counter() - start < 1.0
 
 
@@ -38,14 +38,14 @@ def test_c2_derivative_displays_match_fixtures():
     """Every stored partial derivative, sum, and diagonal matches the
     computed one exactly, < 1 s."""
     start = time.perf_counter()
-    fixtures = load_fixtures()
+    corpus = load_corpus()
     for y in (1, 2, 3):
         poly = build_poly(y)
-        assert fixtures[f"df{y}_dx"].poly == poly.diff("x")
-        assert fixtures[f"df{y}_dz"].poly == poly.diff("z")
-        assert fixtures[f"sum_{y}"].poly == derivative_sum(y)
-        assert fixtures[f"diag_sum_{y}"].poly == derivative_sum(y).diagonal()
-        assert fixtures[f"diag_sum_{y}"].poly == (2 * y + 1) * X ** (2 * y)
+        assert corpus[f"df{y}_dx"] == poly.diff("x")
+        assert corpus[f"df{y}_dz"] == poly.diff("z")
+        assert corpus[f"sum_{y}"] == derivative_sum(y)
+        assert corpus[f"diag_sum_{y}"] == derivative_sum(y).diagonal()
+        assert corpus[f"diag_sum_{y}"] == (2 * y + 1) * X ** (2 * y)
     assert time.perf_counter() - start < 1.0
 
 
@@ -98,7 +98,7 @@ def test_c6_coefficient_closed_form_to_order_20():
     x^(2m+1) with zero residual, for m = 0..20."""
     for m in range(21):
         row = solve_coeffs(m)
-        assert row[m] == (2 * m + 1) * binomial(2 * m, m)
+        assert row[m] == (2 * m + 1) * comb(2 * m, m)
         combined = BiPoly.zero()
         for r, a in enumerate(row):
             combined = combined + conv_sum(r).diagonal() * a

@@ -1,5 +1,6 @@
 """Command line behavior: output bytes, exit codes, guard rails."""
 
+import importlib
 import json
 import os
 import shutil
@@ -130,6 +131,21 @@ def test_eval_rejects_zero_denominator(capsys):
     code, _, err = run(capsys, "eval", "1", "--at", "1/0")
     assert code == 2
     assert "invalid rational" in err
+
+
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+
+
+@pytest.mark.skipif(not 0 < DIGIT_LIMIT < 5000, reason="needs a digit limit below 5000")
+@pytest.mark.parametrize("point", [f"{10**41}", f"1/{10**41}"])
+def test_eval_value_past_the_digit_limit_is_a_usage_error(capsys, point):
+    # Inside the order limit, but (2*64+1) u^128 has over 5000 digits: more
+    # than str() of an int allows by default, and the limit stays in place.
+    code, out, err = run(capsys, "eval", "64", "--at", point)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{DIGIT_LIMIT} digits" in err and "Traceback" not in err
+    assert sys.get_int_max_str_digits() == DIGIT_LIMIT
 
 
 def test_eval_mismatch_exits_one(capsys, monkeypatch):
@@ -364,3 +380,14 @@ def test_console_script():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1 -14 0 140\n"
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_console_script_entry_point():
+    import tomllib
+
+    pyproject = Path(cli.__file__).resolve().parents[2] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())
+    assert project["project"]["scripts"] == {"oddpower": "oddpower.cli:main"}
+    module, _, attribute = project["project"]["scripts"]["oddpower"].partition(":")
+    assert getattr(importlib.import_module(module), attribute) is main

@@ -1,5 +1,7 @@
 """Coefficient rows of the odd-power identity and the integer oracle."""
 
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,7 @@ from oddpower.bipoly import X
 import oddpower.coefficients as coefficients
 from oddpower.coefficients import first_failure, solve_coeffs, verify_identity
 from oddpower.powersums import conv_sum
-from oddpower.rationals import Rational, binomial
+from oddpower.rationals import Rational
 
 
 KNOWN_ROWS = {
@@ -34,7 +36,7 @@ def test_first_coefficient_is_one(m):
 
 @pytest.mark.parametrize("m", range(21))
 def test_top_coefficient_closed_form(m):
-    assert solve_coeffs(m)[m] == (2 * m + 1) * binomial(2 * m, m)
+    assert solve_coeffs(m)[m] == (2 * m + 1) * comb(2 * m, m)
 
 
 @pytest.mark.parametrize("m", range(13))
@@ -116,7 +118,7 @@ def test_row_length_and_indexing(m):
     assert type(row) is tuple
     assert all(type(a) is Rational for a in row)
     assert len(row) == m + 1
-    assert row[-1] == (2 * m + 1) * binomial(2 * m, m)
+    assert row[-1] == (2 * m + 1) * comb(2 * m, m)
     half = (m + 1) // 2  # A_r = 0 for half <= r < m, where 2r + 1 > m
     assert list(row) == [*row[:half], *[0] * (m - half), row[m]]
     if m in KNOWN_ROWS:

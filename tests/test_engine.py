@@ -25,7 +25,6 @@ from oddpower.engine import (
     check_diagonal,
     derivative_sum,
     eval_derivative_at,
-    odd_power,
 )
 from oddpower.parsing import parse_poly
 from oddpower.powersums import conv_sum, power_sum
@@ -90,14 +89,7 @@ def test_matches_literal_double_sum(y):
 @pytest.mark.parametrize("y", range(9))
 def test_diagonal_collapses_to_odd_power(y):
     assert check_diagonal(y)
-    assert build_poly(y).diagonal() == odd_power(y)
-
-
-def test_odd_power():
-    assert odd_power(0) == X
-    assert odd_power(2) == X**5
-    with pytest.raises(ValueError):
-        odd_power(-1)
+    assert build_poly(y).diagonal() == X ** (2 * y + 1)
 
 
 @pytest.mark.parametrize("y", range(9))
@@ -232,7 +224,7 @@ def test_build_poly_is_cached():
 
 @pytest.mark.parametrize(
     "layer",
-    [bernoulli, power_sum, conv_sum, solve_coeffs, build_poly, derivative_sum, odd_power],
+    [bernoulli, power_sum, conv_sum, solve_coeffs, build_poly, derivative_sum, check_diagonal],
     ids=lambda fn: fn.__name__,
 )
 def test_non_int_order_rejected_after_warm_int_call(layer):

@@ -1,13 +1,10 @@
-"""Fixture corpus loading and the corpus format itself."""
-
-import dataclasses
+"""The reference corpus and its loader in helpers.py."""
 
 import pytest
 
-from helpers import F1
+from helpers import F1, load_corpus
 from oddpower.bipoly import BiPoly, X
 from oddpower.engine import build_poly, derivative_sum
-from oddpower.fixtures import Fixture, load_fixtures, parse_fixture_lines
 
 EXPECTED_NAMES = [
     "f_1",
@@ -29,24 +26,21 @@ EXPECTED_NAMES = [
 
 
 def test_bundled_corpus_names_in_order():
-    assert list(load_fixtures()) == EXPECTED_NAMES
+    assert list(load_corpus()) == EXPECTED_NAMES
 
 
 def test_bundled_corpus_spot_checks():
-    fixtures = load_fixtures()
-    assert fixtures["f_1"].poly == F1
-    assert fixtures["sum_2"].poly == derivative_sum(2)
-    assert fixtures["diag_sum_3"].poly == 7 * X**6
-    assert fixtures["df3_dx"].poly == build_poly(3).diff("x")
+    corpus = load_corpus()
+    assert corpus["f_1"] == F1
+    assert corpus["sum_2"] == derivative_sum(2)
+    assert corpus["diag_sum_3"] == 7 * X**6
+    assert corpus["df3_dx"] == build_poly(3).diff("x")
 
 
 def test_fixture_fields():
-    fixtures = load_fixtures()
-    for fixture in fixtures.values():
-        assert isinstance(fixture, Fixture)
-        assert fixture.name
-        assert fixture.source_ref
-        assert isinstance(fixture.poly, BiPoly)
+    for name, poly in load_corpus().items():
+        assert name
+        assert isinstance(poly, BiPoly) and not poly.is_zero()
 
 
 def test_parse_skips_blanks_and_comments():
@@ -58,46 +52,23 @@ def test_parse_skips_blanks_and_comments():
         "  # indented comment",
         '"q" "elsewhere" := 2 z^2',
     ]
-    fixtures = parse_fixture_lines(lines)
-    assert list(fixtures) == ["p", "q"]
-    assert fixtures["p"].poly == BiPoly({(1, 0): 1, (0, 1): 1})
-    assert fixtures["q"].source_ref == "elsewhere"
+    corpus = load_corpus(lines)
+    assert list(corpus) == ["p", "q"]
+    assert corpus["p"] == BiPoly({(1, 0): 1, (0, 1): 1})
+    assert corpus["q"] == BiPoly({(0, 2): 2})
 
 
 def test_parse_rejects_malformed_line():
-    with pytest.raises(ValueError, match=r"corpus\.txt:2.*malformed"):
-        parse_fixture_lines(['"ok" "ref" := x', "not a fixture"], origin="corpus.txt")
+    with pytest.raises(ValueError, match="line 2.*malformed"):
+        load_corpus(['"ok" "ref" := x', "not a fixture"])
 
 
 def test_parse_rejects_duplicate_names():
     lines = ['"p" "a" := x', '"p" "b" := z']
-    with pytest.raises(ValueError, match="duplicate"):
-        parse_fixture_lines(lines)
+    with pytest.raises(ValueError, match="line 2.*duplicate"):
+        load_corpus(lines)
 
 
 def test_parse_reports_bad_expression_with_location():
-    with pytest.raises(ValueError, match=r"somefile:1.*'p'"):
-        parse_fixture_lines(['"p" "ref" := x +'], origin="somefile")
-
-
-def test_load_from_explicit_path(tmp_path):
-    corpus = tmp_path / "corpus.txt"
-    corpus.write_text('# local corpus\n"cube" "test data" := x^3\n', encoding="utf-8")
-    fixtures = load_fixtures(corpus)
-    assert list(fixtures) == ["cube"]
-    assert fixtures["cube"].poly == X**3
-    # a str path works as well as a Path
-    assert load_fixtures(str(corpus)) == fixtures
-
-
-def test_load_error_names_the_file(tmp_path):
-    corpus = tmp_path / "bad.txt"
-    corpus.write_text("garbage line\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="bad.txt:1"):
-        load_fixtures(corpus)
-
-
-def test_fixture_is_frozen():
-    fixture = load_fixtures()["f_1"]
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        fixture.name = "renamed"
+    with pytest.raises(ValueError, match="line 1.*'p'"):
+        load_corpus(['"p" "ref" := x +'])

@@ -4,7 +4,10 @@ A private name (one leading underscore, not a dunder) defined at the top of a
 module under ``src/oddpower/`` by ``def``, ``class`` or assignment must be
 read somewhere in the package: as a name, as an attribute or in an import.
 A public name listed in a module's ``__all__`` must exist in that module, so
-a deletion cannot leave a stale export behind.
+a deletion cannot leave a stale export behind, and it must have a reader
+outside the tests: ``cli.py``, a file under ``oddbench/`` or another package
+module (``__init__.py`` re-exports, it does not read).  The few names kept for
+library callers alone are listed in ``KEPT`` with the reason for each.
 """
 
 import ast
@@ -14,6 +17,16 @@ from pathlib import Path
 import oddpower
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "oddpower"
+BENCH = PACKAGE.parent.parent / "oddbench"
+
+KEPT = {
+    "X": "ring generator; the README and the differential tests write polynomials in X and Z",
+    "Z": "ring generator; the README and the differential tests write polynomials in X and Z",
+    "MAX_DEGREE": "the parser's documented degree bound, which callers need to stay inside it",
+    "IdentityReport": "the type check_derivative_identity returns; the benchmark reads its .holds",
+    "PolyParseError": "the error parse_poly raises, which callers catch by name",
+    "UnknownVariableError": "the error parse_poly raises for a name other than x or z",
+}
 
 
 def _is_private(name: str) -> bool:
@@ -52,11 +65,15 @@ def test_private_names_are_used():
     assert [f"{module}:{name}" for module, name in defined if name not in used] == []
 
 
-def test_exports_resolve():
-    modules = [
+def _modules() -> list:
+    return [
         importlib.import_module(f"oddpower.{path.stem}") if path.stem != "__init__" else oddpower
         for path in sorted(PACKAGE.glob("*.py"))
     ]
+
+
+def test_exports_resolve():
+    modules = _modules()
     exporting = [module for module in modules if hasattr(module, "__all__")]
     assert oddpower in exporting and len(exporting) > 1, "no __all__ found; is the package path right?"
     missing = [
@@ -66,3 +83,22 @@ def test_exports_resolve():
         if not hasattr(module, name)
     ]
     assert missing == []
+
+
+def test_public_names_have_consumers():
+    # oddpower.__all__ only re-exports names of the modules, checked here.
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    bench = [ast.parse(path.read_text()) for path in sorted(BENCH.glob("*.py"))]
+    assert bench, "no benchmark sources found; is the oddbench path right?"
+    outside = set().union(*map(_used, bench), _used(trees["cli"]))
+    exported, unread = set(), []
+    for module in _modules():
+        if module is oddpower or not hasattr(module, "__all__"):
+            continue
+        stem = module.__name__.rpartition(".")[2]
+        others = (tree for name, tree in trees.items() if name not in (stem, "__init__"))
+        readers = outside.union(*map(_used, others))
+        exported.update(module.__all__)
+        unread += [f"{stem}:{name}" for name in module.__all__ if name not in readers | KEPT.keys()]
+    assert not unread, f"exported, but only the tests read them: {unread}"
+    assert KEPT.keys() <= exported, "a KEPT name is no longer exported"

@@ -1,13 +1,14 @@
-"""Coefficient field contract: canonical rationals, binomials, Bernoulli numbers."""
+"""Coefficient field contract: canonical rationals and Bernoulli numbers."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import bernoulli_reference
-from oddpower.rationals import Rational, bernoulli, binomial
+from oddpower.rationals import Rational, bernoulli
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
 
@@ -89,37 +90,6 @@ def test_results_stay_canonical(a, b):
         assert gcd(abs(value.numerator), value.denominator) == 1
 
 
-def test_binomial_values():
-    assert binomial(4, 2) == 6
-    assert binomial(6, 3) == 20
-    assert binomial(0, 0) == 1
-
-
-def test_binomial_out_of_range_is_zero():
-    assert binomial(3, 5) == 0
-    assert binomial(3, -1) == 0
-
-
-def test_binomial_negative_n_raises():
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
-
-
-def test_binomial_rejects_non_int_k():
-    for bad in (True, 2.0, Fraction(2)):
-        with pytest.raises(TypeError, match="k must be an int"):
-            binomial(5, bad)
-    assert binomial(5, -1) == binomial(5, 6) == 0
-
-
-def test_binomial_symmetry_and_pascal():
-    for n in range(12):
-        for k in range(n + 1):
-            assert binomial(n, k) == binomial(n, n - k)
-            if n >= 1:
-                assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
-
-
 def test_bernoulli_small_values():
     assert bernoulli(0) == Rational(1)
     assert bernoulli(1) == Rational(1, 2)
@@ -137,7 +107,7 @@ def test_bernoulli_odd_indices_vanish():
 def test_bernoulli_defining_recurrence():
     # sum_{j=0..n} C(n+1, j) B_j = n + 1 pins the B_1 = +1/2 convention.
     for n in range(61):
-        acc = sum(binomial(n + 1, j) * bernoulli(j) for j in range(n + 1))
+        acc = sum(comb(n + 1, j) * bernoulli(j) for j in range(n + 1))
         assert acc == n + 1, f"recurrence fails at n={n}"
 
 

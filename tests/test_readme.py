@@ -1,6 +1,8 @@
 """README drift guard: every ``$ oddpower ...`` example in the "Command
-line" section, run through ``cli.main``, prints exactly the lines shown."""
+line" section, run through ``cli.main``, prints exactly the lines shown, and
+the "Library" block passes as a doctest."""
 
+import doctest
 import re
 import shlex
 from pathlib import Path
@@ -36,3 +38,13 @@ def test_readme_example(capsys, command, expected):
     code = main(shlex.split(command)[1:])
     assert code == 0
     assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_library_block_is_a_passing_doctest():
+    section = README.read_text().split("## Library", 1)[1]
+    block = re.search(r"```pycon\n(.*?)```", section, re.S).group(1)
+    test = doctest.DocTestParser().get_doctest(block, {}, "README Library", str(README), 0)
+    runner = doctest.DocTestRunner()
+    runner.run(test)
+    assert len(test.examples) >= 10
+    assert runner.summarize(verbose=False) == (0, len(test.examples))

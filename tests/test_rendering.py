@@ -10,15 +10,7 @@ from helpers import F1, SUM1, render_latex_reference, render_plain_reference
 from oddpower.bipoly import BiPoly, X, Z
 from oddpower.coefficients import solve_coeffs
 from oddpower.rationals import Rational
-from oddpower.rendering import (
-    FORMATS,
-    coeff_vector_json,
-    poly_terms,
-    render,
-    render_json,
-    render_latex,
-    render_plain,
-)
+from oddpower.rendering import FORMATS, coeff_vector_json, render
 
 
 def test_plain_reference_bytes():
@@ -27,14 +19,14 @@ def test_plain_reference_bytes():
 
 
 def test_plain_is_str():
-    assert render_plain(F1) == str(F1)
+    assert render(F1, "plain") == str(F1)
 
 
 def test_plain_edge_cases():
-    assert render_plain(BiPoly.zero()) == "0"
-    assert render_plain(BiPoly.constant(Rational(-3, 4))) == "-3/4"
-    assert render_plain(-X) == "-x"
-    assert render_plain(X * Z) == "x z"
+    assert render(BiPoly.zero(), "plain") == "0"
+    assert render(BiPoly.constant(Rational(-3, 4)), "plain") == "-3/4"
+    assert render(-X, "plain") == "-x"
+    assert render(X * Z, "plain") == "x z"
 
 
 def test_latex_reference_bytes():
@@ -42,12 +34,12 @@ def test_latex_reference_bytes():
 
 
 def test_latex_fractions_and_signs():
-    assert render_latex(Rational(1, 2) * Z**2) == r"\frac{1}{2} z^{2}"
-    assert render_latex(BiPoly.constant(Rational(-3, 4))) == r"-\frac{3}{4}"
-    assert render_latex(-X + Z) == "-x + z"
-    assert render_latex(X * Z) == "x z"
-    assert render_latex(BiPoly.one()) == "1"
-    assert render_latex(BiPoly.zero()) == "0"
+    assert render(Rational(1, 2) * Z**2, "latex") == r"\frac{1}{2} z^{2}"
+    assert render(BiPoly.constant(Rational(-3, 4)), "latex") == r"-\frac{3}{4}"
+    assert render(-X + Z, "latex") == "-x + z"
+    assert render(X * Z, "latex") == "x z"
+    assert render(BiPoly.one(), "latex") == "1"
+    assert render(BiPoly.zero(), "latex") == "0"
 
 
 def test_json_reference_bytes():
@@ -58,17 +50,18 @@ def test_json_reference_bytes():
 
 
 def test_json_zero_and_fractions():
-    assert render_json(BiPoly.zero()) == '{"terms":[]}'
-    assert render_json(Rational(-1, 2) * X) == '{"terms":[{"dx":1,"dz":0,"c":"-1/2"}]}'
+    assert render(BiPoly.zero(), "json") == '{"terms":[]}'
+    assert render(Rational(-1, 2) * X, "json") == '{"terms":[{"dx":1,"dz":0,"c":"-1/2"}]}'
 
 
 def test_json_has_no_whitespace():
-    assert " " not in render_json(F1)
+    assert " " not in render(F1, "json")
     assert " " not in coeff_vector_json(solve_coeffs(3))
 
 
 def test_poly_terms_order_is_canonical():
-    assert [(t["dx"], t["dz"]) for t in poly_terms(SUM1)] == [
+    terms = json.loads(render(SUM1, "json"))["terms"]
+    assert [(t["dx"], t["dz"]) for t in terms] == [
         (1, 0),
         (0, 1),
         (1, 1),
@@ -107,7 +100,7 @@ bipolys = st.dictionaries(exponent_pairs, coefficients, max_size=7).map(BiPoly)
 
 @given(poly=bipolys)
 def test_json_round_trip(poly):
-    decoded = json.loads(render_json(poly))
+    decoded = json.loads(render(poly, "json"))
     rebuilt = BiPoly(
         {(t["dx"], t["dz"]): Rational(t["c"]) for t in decoded["terms"]}
     )
@@ -136,5 +129,5 @@ mixed_bipolys = st.lists(
 
 @given(poly=mixed_bipolys)
 def test_renders_match_reference_formatters(poly):
-    assert render_plain(poly) == render_plain_reference(poly)
-    assert render_latex(poly) == render_latex_reference(poly)
+    assert render(poly, "plain") == render_plain_reference(poly)
+    assert render(poly, "latex") == render_latex_reference(poly)
