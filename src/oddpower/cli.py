@@ -17,13 +17,13 @@ time: after each row it clears the ``build_poly`` and ``derivative_sum``
 caches, so its memory does not grow with --max-y.
 
 Exit codes: 0 success / all checks pass, 1 a verification failed, 2 usage or
-parse error, or an ``eval`` value with more digits than the interpreter
-prints (``sys.get_int_max_str_digits()``, 4300 by default), 130 interrupted
-by Ctrl-C (SIGINT; ``interrupted`` is printed to stderr, with no traceback),
-141 stdout was closed before the output was written (as in
-``oddpower poly 64 | head``; nothing is printed to stderr).  Orders above 64,
-and oracle ranges --max-n above 1000, are refused unless --allow-large is
-given, to keep accidental runtimes in check.
+parse error, or an ``eval`` point or value with more digits than the
+interpreter reads or prints (``sys.get_int_max_str_digits()``, 4300 by
+default), 130 interrupted by Ctrl-C (SIGINT; ``interrupted`` is printed to
+stderr, with no traceback), 141 stdout was closed before the output was
+written (as in ``oddpower poly 64 | head``; nothing is printed to stderr).
+Orders above 64, and oracle ranges --max-n above 1000, are refused unless
+--allow-large is given, to keep accidental runtimes in check.
 """
 
 from __future__ import annotations
@@ -63,12 +63,18 @@ def _positive_int(text: str) -> int:
 
 def _rational(text: str) -> Rational:
     # Accepts "a/b" or an integer; decimals are refused to preserve exactness.
+    num, sep, den = text.partition("/")
     try:
-        num, sep, den = text.partition("/")
         if sep and not den:
             raise ValueError
         value = Rational(int(num)) if not sep else Rational(int(num), int(den))
     except (ValueError, ZeroDivisionError):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+        if 0 < limit < max(sum(map(str.isdecimal, part)) for part in (num, den)):
+            raise argparse.ArgumentTypeError(
+                f"the number has more than {limit} digits, the interpreter's limit for "
+                "reading an integer (PYTHONINTMAXSTRDIGITS raises it)"
+            )
         raise argparse.ArgumentTypeError(
             f"invalid rational {text!r}, expected an integer or a/b"
         )

@@ -14,8 +14,8 @@ the assembly together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .bipoly import BiPoly
 from .coefficients import solve_coeffs
@@ -32,9 +32,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """The derivative-identity check for one order y.
+class IdentityReport(NamedTuple):
+    """The derivative-identity check for one order y, an immutable record.
 
     ``residual`` is the diagonal of the partial-derivative sum minus the
     expected derivative (2y+1) x^(2y); ``holds`` is True exactly when it is

@@ -7,11 +7,13 @@ for equal polynomials.  JSON is emitted without whitespace.
 Schemas:
     polynomial   {"terms":[{"dx":i,"dz":j,"c":"<num>/<den>"}, ...]}
     coefficients {"m":<int>,"A":["<num>/<den>", ...]}         (index r = 0..m)
+
+JSON is written directly with f-strings, not with the ``json`` module: the
+keys are fixed and every value is an ``int`` or a ``"<num>/<den>"`` string
+of digits, a slash and at most a leading minus, so nothing needs escaping.
 """
 
 from __future__ import annotations
-
-import json
 
 from .bipoly import BiPoly, _format_terms, _reduced_terms
 from .rationals import Rational
@@ -30,13 +32,14 @@ def render(poly: BiPoly, fmt: str) -> str:
     if fmt == "latex":
         return _format_terms(poly, r"\frac{{{}}}{{{}}}", "{}^{{{}}}")
     if fmt == "json":
-        terms = [
-            {"dx": dx, "dz": dz, "c": f"{num}/{den}"} for dx, dz, num, den in _reduced_terms(poly)
-        ]
-        return json.dumps({"terms": terms}, separators=(",", ":"))
+        terms = ",".join(
+            f'{{"dx":{dx},"dz":{dz},"c":"{num}/{den}"}}'
+            for dx, dz, num, den in _reduced_terms(poly)
+        )
+        return f'{{"terms":[{terms}]}}'
     raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
 
 
 def coeff_vector_json(row: tuple[Rational, ...]) -> str:
-    values = [f"{a.numerator}/{a.denominator}" for a in row]
-    return json.dumps({"m": len(row) - 1, "A": values}, separators=(",", ":"))
+    values = ",".join(f'"{a.numerator}/{a.denominator}"' for a in row)
+    return f'{{"m":{len(row) - 1},"A":[{values}]}}'

@@ -24,7 +24,9 @@ the term-by-term ``Fraction`` evaluation and diagonal collapse that the
 common-denominator ``BiPoly.__call__`` and ``BiPoly.diagonal`` replaced.
 ``ReferenceBiPoly`` is the ``Fraction``-per-term polynomial that the
 integer-numerator ``BiPoly`` replaced, and ``render_json_reference`` the
-JSON term list written from its ``Fraction`` coefficients.
+JSON term list written from its ``Fraction`` coefficients by ``json.dumps``.
+``coeff_vector_json_reference`` is the ``json.dumps`` coefficient row that
+the f-string ``coeff_vector_json`` replaced.
 """
 
 from __future__ import annotations
@@ -333,6 +335,12 @@ def render_json_reference(poly) -> str:
         {"dx": dx, "dz": dz, "c": f"{c.numerator}/{c.denominator}"} for dx, dz, c in poly.terms()
     ]
     return json.dumps({"terms": terms}, separators=(",", ":"))
+
+
+def coeff_vector_json_reference(row) -> str:
+    """The coefficient row as JSON, written by ``json.dumps``."""
+    values = [f"{a.numerator}/{a.denominator}" for a in row]
+    return json.dumps({"m": len(row) - 1, "A": values}, separators=(",", ":"))
 
 
 def shift_z(poly: BiPoly, offset: int | Rational) -> BiPoly:

@@ -7,11 +7,13 @@ derivative check.  A simplification of the library that drops any of these
 would break the benchmark's runs rather than any test, so they are read from
 the harness source with ``ast`` and checked here.  The CLI output the
 harness compares byte for byte with ``oddbench/expected.json`` is checked
-here too, so a change that breaks it fails a test before it fails every
-benchmark pass.
+here too, and so are the sha256 digests of the renders of ``f_24..f_64`` in
+all three formats that ``roundtrip`` compares, so a change that breaks
+either fails a test before it fails every benchmark pass.
 """
 
 import ast
+import hashlib
 import json
 from pathlib import Path
 
@@ -19,6 +21,7 @@ import pytest
 
 import oddpower
 from oddpower.cli import main
+from oddpower.rendering import FORMATS
 
 RUN_PY = Path(__file__).resolve().parent.parent / "oddbench" / "run.py"
 EXPECTED = json.loads((RUN_PY.parent / "expected.json").read_text())
@@ -79,3 +82,11 @@ def test_cli_output_matches_benchmark_expectation(capsys, argv, expected_out):
     code = main(argv)
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (0, expected_out, "")
+
+
+@pytest.mark.parametrize("y", range(24, 65))
+def test_renders_match_benchmark_digests(y):
+    digests = EXPECTED["renders"][str(y)]
+    poly = oddpower.build_poly(y)
+    rendered = {fmt: oddpower.render(poly, fmt).encode() for fmt in FORMATS}
+    assert {fmt: hashlib.sha256(text).hexdigest() for fmt, text in rendered.items()} == digests

@@ -148,6 +148,22 @@ def test_eval_value_past_the_digit_limit_is_a_usage_error(capsys, point):
     assert sys.get_int_max_str_digits() == DIGIT_LIMIT
 
 
+@pytest.mark.skipif(DIGIT_LIMIT == 0, reason="needs a digit limit")
+@pytest.mark.parametrize(
+    "point",
+    ["9" * (DIGIT_LIMIT + 700), "1/" + "9" * (DIGIT_LIMIT + 700)],
+    ids=["integer", "denominator"],
+)
+def test_eval_point_past_the_digit_limit_is_a_usage_error(capsys, point):
+    # A well-formed integer that int() refuses to read: the error names the
+    # limit instead of calling the number invalid, and does not echo it back.
+    code, out, err = run(capsys, "eval", "1", "--at", point)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: ") and err.count("\n") == 2
+    assert f"error: argument --at: the number has more than {DIGIT_LIMIT} digits" in err
+    assert "invalid rational" not in err and len(err) < 300
+
+
 def test_eval_mismatch_exits_one(capsys, monkeypatch):
     monkeypatch.setattr(cli.engine, "eval_derivative_at", lambda y, u: Rational(99))
     code, out, _ = run(capsys, "eval", "2", "--at", "1")
@@ -391,3 +407,28 @@ def test_console_script_entry_point():
     assert project["project"]["scripts"] == {"oddpower": "oddpower.cli:main"}
     module, _, attribute = project["project"]["scripts"]["oddpower"].partition(":")
     assert getattr(importlib.import_module(module), attribute) is main
+
+
+# -- start-up -------------------------------------------------------------
+
+
+def test_cli_import_loads_no_heavy_stdlib_modules():
+    # These would be over half of the package's import time, and nothing in
+    # it needs them.  Only modules the import itself loads count, not those
+    # that `site` has already loaded on a given host.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = (
+        "import sys; before = set(sys.modules); import oddpower.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "oddpower.cli" in loaded
+    assert loaded & {"dataclasses", "inspect", "json", "ast", "dis"} == set()

@@ -1,6 +1,5 @@
 """Family construction and the symbolic derivative identity."""
 
-import dataclasses
 import random
 from math import gcd
 
@@ -109,7 +108,7 @@ def test_report_fields_are_consistent(y):
     assert derivative_sum(y) == partial_x + partial_z
     assert report.residual == (partial_x + partial_z).diagonal() - (2 * y + 1) * X ** (2 * y)
     assert report.holds == report.residual.is_zero()
-    assert [f.name for f in dataclasses.fields(report)] == ["y", "residual", "holds"]
+    assert report._fields == ("y", "residual", "holds")
 
 
 def test_diagonal_sums_small_orders():
@@ -239,5 +238,6 @@ def test_non_int_order_rejected_after_warm_int_call(layer):
 
 def test_report_is_frozen():
     report = check_derivative_identity(1)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         report.holds = False
+    assert report.holds is True

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import F1, SUM1, render_latex_reference, render_plain_reference
+from helpers import (
+    F1,
+    SUM1,
+    coeff_vector_json_reference,
+    render_latex_reference,
+    render_plain_reference,
+)
 from oddpower.bipoly import BiPoly, X, Z
 from oddpower.coefficients import solve_coeffs
 from oddpower.rationals import Rational
@@ -75,6 +81,13 @@ def test_coeff_vector_json_bytes():
     wide = json.loads(coeff_vector_json(solve_coeffs(64)))
     assert wide["m"] == 64
     assert wide["A"] == [f"{a.numerator}/{a.denominator}" for a in solve_coeffs(64)]
+
+
+@pytest.mark.parametrize("m", range(65))
+def test_coeff_vector_json_matches_reference(m):
+    # Zero entries appear from m = 2, negative ones from 3, fractions from 11.
+    row = solve_coeffs(m)
+    assert coeff_vector_json(row) == coeff_vector_json_reference(row)
 
 
 def test_unknown_format_rejected():
