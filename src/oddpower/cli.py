@@ -17,11 +17,12 @@ time: after each row it clears the ``build_poly`` and ``derivative_sum``
 caches, so its memory does not grow with --max-y.
 
 Exit codes: 0 success / all checks pass, 1 a verification failed, 2 usage or
-parse error, or an ``eval`` point or value with more digits than the
-interpreter reads or prints (``sys.get_int_max_str_digits()``, 4300 by
-default), 130 interrupted by Ctrl-C (SIGINT; ``interrupted`` is printed to
-stderr, with no traceback), 141 stdout was closed before the output was
-written (as in ``oddpower poly 64 | head``; nothing is printed to stderr).
+parse error, or an order, a count or an ``eval`` point or value with more
+digits than the interpreter reads or prints (``sys.get_int_max_str_digits()``,
+4300 by default), 130 interrupted by Ctrl-C (SIGINT; ``interrupted`` is
+printed to stderr, with no traceback), 141 stdout was closed before the
+output was written (as in ``oddpower poly 64 | head``; nothing is printed to
+stderr).
 Orders above 64, and oracle ranges --max-n above 1000, are refused unless
 --allow-large is given, to keep accidental runtimes in check.
 """
@@ -44,10 +45,22 @@ EXIT_INTERRUPTED = 130  # 128 + SIGINT, what a shell reports for a program stopp
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer killed by the signal
 
 
+def _refuse_past_digit_limit(*parts: str) -> None:
+    """Name the interpreter's digit limit, without echoing the digits, when a
+    part of a number that ``int()`` refused has more digits than it reads."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if 0 < limit < max(sum(map(str.isdecimal, part)) for part in parts):
+        raise argparse.ArgumentTypeError(
+            f"the number has more than {limit} digits, the interpreter's limit for "
+            "reading an integer (PYTHONINTMAXSTRDIGITS raises it)"
+        )
+
+
 def _nonneg_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
+        _refuse_past_digit_limit(text)
         raise argparse.ArgumentTypeError(f"invalid integer: {text!r}")
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative: {text!r}")
@@ -69,12 +82,7 @@ def _rational(text: str) -> Rational:
             raise ValueError
         value = Rational(int(num)) if not sep else Rational(int(num), int(den))
     except (ValueError, ZeroDivisionError):
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-        if 0 < limit < max(sum(map(str.isdecimal, part)) for part in (num, den)):
-            raise argparse.ArgumentTypeError(
-                f"the number has more than {limit} digits, the interpreter's limit for "
-                "reading an integer (PYTHONINTMAXSTRDIGITS raises it)"
-            )
+        _refuse_past_digit_limit(num, den)
         raise argparse.ArgumentTypeError(
             f"invalid rational {text!r}, expected an integer or a/b"
         )

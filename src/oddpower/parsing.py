@@ -18,6 +18,28 @@ A term whose degree in x or in z exceeds :data:`MAX_DEGREE` is refused at
 the variable that crosses the bound, so no input can ask for unbounded
 big-integer work when the result is evaluated or multiplied.  The bound keeps
 every family member ``f_y`` with ``y <= 4999`` (degree ``2y + 1``) parseable.
+
+Text in the shape the plain renderer writes is read one term per regex step:
+:data:`_TERM_RE` matches an optional sign, an optional coefficient ``a`` or
+``a/b``, then ``x`` with an optional ``^i``, then ``z`` with an optional
+``^j``.  Whitespace may come before and after each of these four pieces but
+not inside ``a/b`` or ``x^i``, a denominator or exponent has no leading zero,
+and the term must end at ``+``, ``-`` or the end of the text.  That is a
+strict subset of the grammar above.  The first step that is not such a term,
+or whose values are out of range (an empty term, a degree above the bound,
+an integer literal ``int()`` refuses), hands the whole text to
+:func:`_parse_factors`, the factor-by-factor loop over the full grammar; it
+is the only place that raises, so every error has the same message and
+position whichever path saw it first.  A completed scan matched only
+whitespace, ASCII digits, signs, ``/``, ``^``, ``x`` and ``z``, so it needs
+no separate check for characters that start no token.
+
+The scan calls ``match`` at the offset where the previous term ended and
+stops at the first failure.  A ``search``/``finditer`` scan would instead
+retry at every later position after a failure and go quadratic on input such
+as a long run of digits followed by a letter.  The pattern consumes
+whitespace only at its start and after a piece it has matched, so a failed
+step gives back at most one run of characters and each step is linear too.
 """
 
 from __future__ import annotations
@@ -56,6 +78,16 @@ _FACTOR_RE = re.compile(
     r"|([-+*/^])|\Z)"
 )
 
+# One term of the plain renderer's shape, or no match; see the module docstring.
+# ``x`` and ``z`` must not run into a longer name such as ``xz`` or ``x2``.
+_TERM_RE = re.compile(
+    r"\s*(?:([-+])\s*)?"
+    r"(?:([0-9]+)(?:/([1-9][0-9]*))?\s*)?"
+    r"(?:(x)(?![A-Za-z0-9_])(?:\^([1-9][0-9]*))?\s*)?"
+    r"(?:(z)(?![A-Za-z0-9_])(?:\^([1-9][0-9]*))?\s*)?"
+    r"(?=[-+]|\Z)"
+)
+
 
 def _int(text: str, position: int) -> int:
     try:
@@ -71,6 +103,30 @@ def parse_poly(text: str) -> BiPoly:
     Like terms are combined and the result is in canonical sparse form, so
     parsing is a left inverse of plain rendering.
     """
+    terms: list[tuple[tuple[int, int], int, int]] = []  # (degrees, numerator, denominator)
+    offset, end = 0, len(text)
+    match_term = _TERM_RE.match
+    try:
+        while match := match_term(text, offset):
+            sign, num, den, x, deg_x, z, deg_z = match.groups()
+            if not (num or x or z):  # an empty term
+                break
+            deg_x = (int(deg_x) if deg_x else 1) if x else 0
+            deg_z = (int(deg_z) if deg_z else 1) if z else 0
+            if deg_x > MAX_DEGREE or deg_z > MAX_DEGREE:
+                break
+            num = int(num) if num else 1
+            terms.append(((deg_x, deg_z), -num if sign == "-" else num, int(den) if den else 1))
+            offset = match.end()
+            if offset == end:
+                return _from_fractions(terms)
+    except ValueError:  # more digits than int() reads
+        pass
+    return _parse_factors(text)
+
+
+def _parse_factors(text: str) -> BiPoly:
+    """:func:`parse_poly` over the full grammar, one factor per step."""
     junk = _JUNK_RE.search(text)
     if junk:
         raise PolyParseError(f"unexpected character {junk.group()!r}", junk.start())

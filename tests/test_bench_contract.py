@@ -9,7 +9,10 @@ the harness source with ``ast`` and checked here.  The CLI output the
 harness compares byte for byte with ``oddbench/expected.json`` is checked
 here too, and so are the sha256 digests of the renders of ``f_24..f_64`` in
 all three formats that ``roundtrip`` compares, so a change that breaks
-either fails a test before it fails every benchmark pass.
+either fails a test before it fails every benchmark pass.  The plain renders
+``roundtrip`` parses back must stay on the parser's term scan: a renderer
+change that pushed them onto the slower factor loop would still parse, and
+only the benchmark would show it.
 """
 
 import ast
@@ -20,6 +23,7 @@ from pathlib import Path
 import pytest
 
 import oddpower
+from oddpower import parsing
 from oddpower.cli import main
 from oddpower.rendering import FORMATS
 
@@ -90,3 +94,13 @@ def test_renders_match_benchmark_digests(y):
     poly = oddpower.build_poly(y)
     rendered = {fmt: oddpower.render(poly, fmt).encode() for fmt in FORMATS}
     assert {fmt: hashlib.sha256(text).hexdigest() for fmt, text in rendered.items()} == digests
+
+
+def test_plain_renders_parse_on_the_term_scan(monkeypatch):
+    def factor_loop(text):
+        raise AssertionError(f"the factor loop read {text[:40]!r}")
+
+    monkeypatch.setattr(parsing, "_parse_factors", factor_loop)
+    for y in range(65):
+        poly = oddpower.build_poly(y)
+        assert oddpower.parse_poly(oddpower.render(poly, "plain")) == poly

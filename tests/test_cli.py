@@ -164,6 +164,17 @@ def test_eval_point_past_the_digit_limit_is_a_usage_error(capsys, point):
     assert "invalid rational" not in err and len(err) < 300
 
 
+@pytest.mark.skipif(DIGIT_LIMIT == 0, reason="needs a digit limit")
+@pytest.mark.parametrize("argv", [["coeffs"], ["verify", "--max-y"]], ids=["coeffs", "verify"])
+def test_order_past_the_digit_limit_is_a_usage_error(capsys, argv):
+    # The order parser names the limit as --at's does, and does not echo the digits.
+    code, out, err = run(capsys, *argv, "9" * (DIGIT_LIMIT + 700))
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: ") and err.count("\n") == 2
+    assert f"the number has more than {DIGIT_LIMIT} digits" in err
+    assert "invalid integer" not in err and len(err) < 300
+
+
 def test_eval_mismatch_exits_one(capsys, monkeypatch):
     monkeypatch.setattr(cli.engine, "eval_derivative_at", lambda y, u: Rational(99))
     code, out, _ = run(capsys, "eval", "2", "--at", "1")

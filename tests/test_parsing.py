@@ -1,6 +1,7 @@
 """Plain-syntax polynomial parser: accepted forms, rejections, round-trips."""
 
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -154,12 +155,13 @@ def test_round_trip_through_plain_rendering(poly):
 
 
 # Pieces of input for the differential test: names and literals, every
-# operator, whitespace, a Unicode digit, characters that start no token, a
-# degree near the bound and an integer literal past int()'s digit limit.
+# operator, ASCII and Unicode whitespace, a Unicode digit, characters that
+# start no token, a degree near the bound and an integer literal past int()'s
+# digit limit.
 _PIECES = [
     *("x", "z", "y", "_a", "x2", "0", "2", "10", "00"),
     *("/", "^", "*", "+", "-"),
-    *(" ", "\t", "\n"),
+    *(" ", "\t", "\n", "\x1c", "\xa0", "\u2003"),
     *("\u0663", "\u00e9", "$"),
     *("x^6000", "1" * (max(_INT_DIGIT_LIMIT, 4300) + 1)),
 ]
@@ -182,3 +184,72 @@ def _outcome(parse, text):
 @example("x - 3 *\t+ z")
 def test_matches_reference_parser(text):
     assert _outcome(parse_poly, text) == _outcome(parse_poly_reference, text)
+
+
+# Values for the pieces of near-canonical terms: zero (a zero denominator or
+# exponent), one, the degree bound and its neighbours, and a literal past
+# int()'s digit limit.
+_VALUES = [
+    *("0", "1", "2", "10"),
+    *map(str, (MAX_DEGREE - 1, MAX_DEGREE, MAX_DEGREE + 1)),
+    "1" * (max(_INT_DIGIT_LIMIT, 4300) + 1),
+]
+
+
+@st.composite
+def _near_canonical(draw):
+    """Terms in the plain renderer's shape, with any piece left out and 0-2
+    spaces, tabs or '*' after each piece."""
+    pieces = []
+    for _ in range(draw(st.integers(1, 4))):
+        pieces.append(draw(st.sampled_from(["+", "-", ""])))
+        if draw(st.booleans()):
+            pieces.append(draw(st.sampled_from(_VALUES)))
+            if draw(st.booleans()):
+                pieces += ["/", draw(st.sampled_from(_VALUES))]
+        for name in ("x", "z"):
+            if draw(st.booleans()):
+                pieces.append(name)
+                if draw(st.booleans()):
+                    pieces += ["^", draw(st.sampled_from(_VALUES))]
+    return "".join(piece + draw(st.text(" \t*", max_size=2)) for piece in pieces)
+
+
+@settings(max_examples=500)
+@given(text=_near_canonical())
+# Where the term scan must hand over to the factor loop.
+@example("xz")
+@example("2x^3z")
+@example("x^2z")
+@example("x z x")
+@example("1 / 2 x")
+@example("+ + x")
+@example("x2")
+@example("1/0 x")
+@example("x^0")
+@example("z^10001")
+@example("3 x - ")
+def test_near_canonical_terms_match_reference_parser(text):
+    assert _outcome(parse_poly, text) == _outcome(parse_poly_reference, text)
+
+
+# About 1 MB each: the term scan runs over every term of the second before
+# the factor loop reads it again.  A linear parse takes about a second or
+# less; a scan that restarted at every position would take hours.
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        ("1" * 10**6 + "y", (PolyParseError, 0)),
+        ("x + " * 250_000 + "y", (UnknownVariableError, 10**6)),
+        ("x^1 z " * 170_000, (PolyParseError, 6 * MAX_DEGREE)),
+        (" " * 10**6 + "y", (UnknownVariableError, 10**6)),
+    ],
+    ids=["digits", "terms", "factors", "spaces"],
+)
+def test_long_input_parses_in_linear_time(text, expected):
+    if text[0] == "1" and not _INT_DIGIT_LIMIT:
+        pytest.skip("int() has no digit limit here, so the literal is read")
+    start = time.perf_counter()
+    error_class, _, position = _outcome(parse_poly, text)
+    assert time.perf_counter() - start < 10
+    assert (error_class, position) == expected
