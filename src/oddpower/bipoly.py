@@ -319,25 +319,35 @@ def _reduced_terms(poly: BiPoly) -> Iterator[tuple[int, int, int, int]]:
 def _format_terms(poly: BiPoly, fraction: str, power: str) -> str:
     """Join ``poly``'s signed terms in canonical order; the format strings
     ``fraction`` (numerator, denominator) and ``power`` (variable, exponent)
-    spell non-integer magnitudes and exponents above one."""
+    spell non-integer magnitudes and exponents above one.
+
+    Each power of x and of z is formatted once per call, into a table
+    indexed by the exponent with a leading space (``""``, ``" x"``,
+    ``" x^2"``, ...).  A term is then one ``str`` of its reduced numerator
+    from :func:`_reduced_terms`, its sign read off the digits, and one
+    concatenation with the two table entries."""
+    xs = ["", " x"] + [" " + power.format("x", i) for i in range(2, poly.degree_x() + 1)]
+    zs = ["", " z"] + [" " + power.format("z", j) for j in range(2, poly.degree_z() + 1)]
     parts: list[str] = []
+    append = parts.append
     for dx, dz, num, den in _reduced_terms(poly):
-        negative = num < 0
-        if negative:
-            num = -num
-        factors: list[str] = []
-        if num != den or not (dx or dz):
-            factors.append(str(num) if den == 1 else fraction.format(num, den))
-        if dx:
-            factors.append("x" if dx == 1 else power.format("x", dx))
-        if dz:
-            factors.append("z" if dz == 1 else power.format("z", dz))
-        body = " ".join(factors)
-        if parts:
-            parts.append(f"- {body}" if negative else f"+ {body}")
+        digits = str(num)
+        if digits[0] == "-":
+            append(" - ")
+            digits = digits[1:]
         else:
-            parts.append(f"-{body}" if negative else body)
-    return " ".join(parts) or "0"
+            append(" + ")
+        monomial = xs[dx] + zs[dz]
+        if den != 1:
+            append(fraction.format(digits, den) + monomial)
+        elif digits == "1" and monomial:
+            append(monomial[1:])
+        else:
+            append(digits + monomial)
+    if not parts:
+        return "0"
+    parts[0] = "-" if parts[0] == " - " else ""
+    return "".join(parts)
 
 
 X = BiPoly.monomial(1, 0)

@@ -147,10 +147,23 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERRUPTED
 
 
+def _attach_negative_points(argv: list[str]) -> list[str]:
+    """Join ``--at`` and a following value that starts with ``-`` and a digit
+    into ``--at=<value>``: argparse reads only ``-N`` and ``-N.N`` as
+    negative numbers, so it would take ``-3/4`` for an option."""
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1] == "--at" and arg[:1] == "-" and arg[1:2].isdecimal():
+            joined[-1] = f"--at={arg}"
+        else:
+            joined.append(arg)
+    return joined
+
+
 def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_points(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse has already written its message; fold --help's exit 0 and
         # usage errors' exit 2 into the return value.

@@ -121,6 +121,14 @@ def test_eval_negative_point(capsys):
     assert out == "12 = 12\n"
 
 
+@pytest.mark.parametrize("point", ["-3/4", "-2"])
+def test_eval_negative_point_as_a_separate_argument(capsys, point):
+    # argparse alone takes "-3/4" after "--at" for an option and exits 2.
+    attached = run(capsys, "eval", "2", f"--at={point}")
+    assert attached[0] == 0
+    assert run(capsys, "eval", "2", "--at", point) == attached
+
+
 def test_eval_rejects_decimals(capsys):
     code, _, err = run(capsys, "eval", "1", "--at", "1.5")
     assert code == 2
@@ -442,4 +450,5 @@ def test_cli_import_loads_no_heavy_stdlib_modules():
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert "oddpower.cli" in loaded
-    assert loaded & {"dataclasses", "inspect", "json", "ast", "dis"} == set()
+    # oddpower.parsing compiles its regexes on import; no subcommand parses text.
+    assert loaded & {"dataclasses", "inspect", "json", "ast", "dis", "oddpower.parsing"} == set()

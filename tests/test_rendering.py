@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import (
@@ -15,6 +15,7 @@ from helpers import (
 )
 from oddpower.bipoly import BiPoly, X, Z
 from oddpower.coefficients import solve_coeffs
+from oddpower.engine import build_poly, derivative_sum
 from oddpower.rationals import Rational
 from oddpower.rendering import FORMATS, coeff_vector_json, render
 
@@ -141,6 +142,27 @@ mixed_bipolys = st.lists(
 
 
 @given(poly=mixed_bipolys)
+@example(poly=BiPoly.zero())
+@example(poly=BiPoly.one())
+@example(poly=BiPoly.constant(-1))
+# x's numerator 2 over the shared 2 reduces to a unit coefficient: "x + 1/2 z".
+@example(poly=BiPoly({(1, 0): 1, (0, 1): Rational(1, 2)}))
+@example(poly=BiPoly({(0, 1): Rational(1, 2), (1, 1): -1, (0, 2): Rational(-3, 2)}))
+# A negative first term, as a fraction, an integer and a bare monomial.
+@example(poly=BiPoly({(0, 0): Rational(-3, 4), (1, 0): 2}))
+@example(poly=BiPoly({(0, 1): -5, (2, 0): 1}))
+@example(poly=-X + Z)
+# z-terms only: the table of powers of x holds "" and " x" alone.
+@example(poly=BiPoly({(0, 1): 3, (0, 2): Rational(-1, 2), (0, 5): 1}))
+@example(poly=BiPoly({(9, 0): 1, (10, 1): -2, (0, 11): Rational(5, 3), (11, 10): 1}))
 def test_renders_match_reference_formatters(poly):
     assert render(poly, "plain") == render_plain_reference(poly)
     assert render(poly, "latex") == render_latex_reference(poly)
+
+
+@pytest.mark.parametrize("y", range(41))
+def test_family_renders_match_reference_formatters(y):
+    # Exponents up to 81, the last entries of the formatter's tables of powers.
+    for poly in (build_poly(y), derivative_sum(y)):
+        assert render(poly, "plain") == render_plain_reference(poly)
+        assert render(poly, "latex") == render_latex_reference(poly)
