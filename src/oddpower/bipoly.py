@@ -19,9 +19,11 @@ Canonical term order, used for iteration and rendering: ascending total
 degree, ties broken by ascending z-degree.  For two variables this is a
 total order on exponent pairs, so output is deterministic.
 
-Degrees must be ``int`` and coefficients ``int`` or ``Rational``; anything
-else (in particular ``float`` and ``bool``) raises ``TypeError``, to
-preserve exactness.
+Degrees and ``**`` exponents must be non-negative ``int`` (checked by
+``rationals._check_order``), and coefficients and scalar operands ``int`` or
+``Rational``; anything else (in particular ``float`` and ``bool``) raises
+``TypeError``, to preserve exactness, and a negative degree or exponent
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Union
 
-from .rationals import Rational
+from .rationals import Rational, _check_order
 
 __all__ = ["BiPoly", "X", "Z"]
 
@@ -46,9 +48,15 @@ def _as_rational(value: CoefficientLike) -> Rational:
     raise TypeError(f"coefficients must be int or Rational, got {type(value).__name__}")
 
 
-def _check_degree_types(deg_x: int, deg_z: int) -> None:
-    if type(deg_x) is not int or type(deg_z) is not int:  # bool is an int subclass
-        raise TypeError(f"degrees must be int, got ({deg_x!r}, {deg_z!r})")
+def _lift(value: object) -> BiPoly:
+    """``value`` as a polynomial: a ``BiPoly`` itself, an ``int`` or
+    ``Rational`` as a constant, and ``NotImplemented`` for anything else, so
+    that the scalar operands of ``+ - * ==`` all take the one path."""
+    if isinstance(value, BiPoly):
+        return value
+    if type(value) is int or isinstance(value, Rational):
+        return BiPoly.constant(value)
+    return NotImplemented
 
 
 class BiPoly:
@@ -69,9 +77,8 @@ class BiPoly:
         items = terms.items() if isinstance(terms, Mapping) else terms
         fractions: list[tuple[MonomialKey, int, int]] = []
         for (deg_x, deg_z), coeff in items:
-            _check_degree_types(deg_x, deg_z)
-            if deg_x < 0 or deg_z < 0:
-                raise ValueError(f"degrees must be non-negative, got ({deg_x}, {deg_z})")
+            _check_order(deg_x, "deg_x")
+            _check_order(deg_z, "deg_z")
             value = _as_rational(coeff)
             fractions.append(((deg_x, deg_z), value.numerator, value.denominator))
         poly = _from_fractions(fractions)
@@ -104,12 +111,10 @@ class BiPoly:
     def __bool__(self) -> bool:
         return bool(self._nums)
 
-    def __len__(self) -> int:
-        return len(self._nums)
-
     def coefficient(self, deg_x: int, deg_z: int) -> Rational:
         """Coefficient of x^deg_x z^deg_z, zero if the monomial is absent."""
-        _check_degree_types(deg_x, deg_z)
+        _check_order(deg_x, "deg_x")
+        _check_order(deg_z, "deg_z")
         return Rational(self._nums.get((deg_x, deg_z), 0), self._den)
 
     def _keys(self) -> list[MonomialKey]:
@@ -132,12 +137,8 @@ class BiPoly:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: BiPoly | CoefficientLike) -> BiPoly:
-        if not isinstance(other, BiPoly):
-            try:
-                other = BiPoly.constant(_as_rational(other))
-            except TypeError:
-                return NotImplemented
-        return _add(self, other, 1)
+        other = _lift(other)
+        return other if other is NotImplemented else _add(self, other, 1)
 
     __radd__ = __add__
 
@@ -145,27 +146,16 @@ class BiPoly:
         return _from_ints(self._den, {key: -num for key, num in self._nums.items()})
 
     def __sub__(self, other: BiPoly | CoefficientLike) -> BiPoly:
-        if not isinstance(other, BiPoly):
-            try:
-                other = BiPoly.constant(_as_rational(other))
-            except TypeError:
-                return NotImplemented
-        return _add(self, other, -1)
+        other = _lift(other)
+        return other if other is NotImplemented else _add(self, other, -1)
 
     def __rsub__(self, other: CoefficientLike) -> BiPoly:
         return (-self).__add__(other)
 
     def __mul__(self, other: BiPoly | CoefficientLike) -> BiPoly:
-        if not isinstance(other, BiPoly):
-            try:
-                scalar = _as_rational(other)
-            except TypeError:
-                return NotImplemented
-            if not scalar:
-                return BiPoly.zero()
-            factor = scalar.numerator
-            nums = {key: num * factor for key, num in self._nums.items()}
-            return _from_ints(self._den * scalar.denominator, nums)
+        other = _lift(other)
+        if other is NotImplemented:
+            return other
         products: _Numerators = {}
         for (ax, az), an in self._nums.items():
             for (bx, bz), bn in other._nums.items():
@@ -177,10 +167,7 @@ class BiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> BiPoly:
-        if type(exponent) is not int:  # not isinstance: bool is an int subclass
-            raise TypeError("exponent must be an int")
-        if exponent < 0:
-            raise ValueError("exponent must be non-negative")
+        _check_order(exponent, "exponent")
         result = BiPoly.one()
         base = self
         e = exponent
@@ -238,10 +225,9 @@ class BiPoly:
     # -- comparison and display -------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if type(other) is int or isinstance(other, Rational):
-            other = BiPoly.constant(other)
-        elif not isinstance(other, BiPoly):
-            return NotImplemented
+        other = _lift(other)
+        if other is NotImplemented:
+            return other
         return self._den == other._den and self._nums == other._nums
 
     def __hash__(self) -> int:

@@ -17,9 +17,10 @@ time: after each row it clears the ``build_poly`` and ``derivative_sum``
 caches, so its memory does not grow with --max-y.
 
 Exit codes: 0 success / all checks pass, 1 a verification failed, 2 usage or
-parse error, or an order, a count or an ``eval`` point or value with more
-digits than the interpreter reads or prints (``sys.get_int_max_str_digits()``,
-4300 by default), 130 interrupted by Ctrl-C (SIGINT; ``interrupted`` is
+parse error, or an order, a count or an ``eval`` point with more digits than
+the interpreter reads, or any value to be printed with more digits than it
+prints (``sys.get_int_max_str_digits()``, 4300 by default; one ``error:``
+line on stderr), 130 interrupted by Ctrl-C (SIGINT; ``interrupted`` is
 printed to stderr, with no traceback), 141 stdout was closed before the
 output was written (as in ``oddpower poly 64 | head``; nothing is printed to
 stderr).
@@ -97,41 +98,33 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     coeffs = sub.add_parser("coeffs", help="solved coefficient row for order m")
-    coeffs.add_argument("m", type=_nonneg_int)
+    coeffs.add_argument("order", type=_nonneg_int, metavar="m")
     coeffs.add_argument("--format", choices=("plain", "json"), default="plain")
 
     poly = sub.add_parser("poly", help="the y-th family polynomial")
-    poly.add_argument("y", type=_nonneg_int)
+    poly.add_argument("order", type=_nonneg_int, metavar="y")
     poly.add_argument("--format", choices=FORMATS, default="plain")
 
     diff = sub.add_parser("diff", help="partial derivative of the y-th polynomial")
-    diff.add_argument("y", type=_nonneg_int)
+    diff.add_argument("order", type=_nonneg_int, metavar="y")
     diff.add_argument("--var", choices=("x", "z", "both"), required=True)
     diff.add_argument("--format", choices=FORMATS, default="plain")
 
     evaluate = sub.add_parser("eval", help="derivative sum at the diagonal point (u, u)")
-    evaluate.add_argument("y", type=_nonneg_int)
+    evaluate.add_argument("order", type=_nonneg_int, metavar="y")
     evaluate.add_argument("--at", type=_rational, required=True, metavar="U")
 
     verify = sub.add_parser("verify", help="symbolic identity checks for y = 0..N")
-    verify.add_argument("--max-y", type=_nonneg_int, default=25)
+    verify.add_argument("--max-y", type=_nonneg_int, default=25, dest="order", metavar="MAX_Y")
 
     oracle = sub.add_parser("oracle", help="literal summation check for order m")
-    oracle.add_argument("m", type=_nonneg_int)
+    oracle.add_argument("order", type=_nonneg_int, metavar="m")
     oracle.add_argument("--max-n", type=_positive_int, default=30)
 
     for command in (coeffs, poly, diff, evaluate, verify, oracle):
         command.add_argument("--allow-large", action="store_true")
 
     return parser
-
-
-def _order_of(args: argparse.Namespace) -> int:
-    if args.command in ("coeffs", "oracle"):
-        return args.m
-    if args.command == "verify":
-        return args.max_y
-    return args.y
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -145,6 +138,16 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        # str() of a number with more digits than the interpreter prints.
+        print(
+            f"error: the value has more than {sys.get_int_max_str_digits()} digits, the "
+            "interpreter's limit for printing an integer (PYTHONINTMAXSTRDIGITS raises it)",
+            file=sys.stderr,
+        )
+        return 2
 
 
 def _attach_negative_points(argv: list[str]) -> list[str]:
@@ -169,7 +172,7 @@ def _run(argv: list[str] | None) -> int:
         # usage errors' exit 2 into the return value.
         return int(exc.code or 0)
 
-    limits = [("order", _order_of(args), MAX_ORDER)]
+    limits = [("order", args.order, MAX_ORDER)]
     if args.command == "oracle":
         limits.append(("--max-n", args.max_n, MAX_SAMPLES))
     for what, value, limit in limits:
@@ -182,7 +185,7 @@ def _run(argv: list[str] | None) -> int:
             return 2
 
     if args.command == "coeffs":
-        row = solve_coeffs(args.m)
+        row = solve_coeffs(args.order)
         if args.format == "json":
             print(coeff_vector_json(row))
         else:
@@ -190,43 +193,35 @@ def _run(argv: list[str] | None) -> int:
         return 0
 
     if args.command == "poly":
-        print(render(engine.build_poly(args.y), args.format))
+        print(render(engine.build_poly(args.order), args.format))
         return 0
 
     if args.command == "diff":
         if args.var == "both":
-            result = engine.derivative_sum(args.y)
+            result = engine.derivative_sum(args.order)
         else:
-            result = engine.build_poly(args.y).diff(args.var)
+            result = engine.build_poly(args.order).diff(args.var)
         print(render(result, args.format))
         return 0
 
     if args.command == "eval":
-        value = engine.eval_derivative_at(args.y, args.at)
-        closed_form = (2 * args.y + 1) * args.at ** (2 * args.y)
+        value = engine.eval_derivative_at(args.order, args.at)
+        closed_form = (2 * args.order + 1) * args.at ** (2 * args.order)
         holds = value == closed_form
-        try:
-            line = f"{value} = {closed_form}" if holds else f"{value} != {closed_form} MISMATCH"
-        except ValueError:  # a numerator or denominator too long for str()
-            print(
-                f"error: the value has more than {sys.get_int_max_str_digits()} digits, the "
-                "interpreter's limit for printing an integer (PYTHONINTMAXSTRDIGITS raises it)",
-                file=sys.stderr,
-            )
-            return 2
-        print(line)
+        print(f"{value} = {closed_form}" if holds else f"{value} != {closed_form} MISMATCH")
         return 0 if holds else 1
 
     if args.command == "verify":
-        print(" y  diagonal  derivative  overall")
+        width = max(2, len(str(args.order)))  # the y column fits --max-y
+        print(f"{'y':>{width}}  diagonal  derivative  overall")
         failed = False
-        for y in range(args.max_y + 1):
+        for y in range(args.order + 1):
             diagonal_ok = engine.check_diagonal(y)
             report = engine.check_derivative_identity(y)
             overall = diagonal_ok and report.holds
             failed = failed or not overall
             row = (
-                f"{y:>2}  {_status(diagonal_ok):<8}  {_status(report.holds):<10}  "
+                f"{y:>{width}}  {_status(diagonal_ok):<8}  {_status(report.holds):<10}  "
                 f"{_status(overall)}"
             )
             if not report.holds:
@@ -238,12 +233,12 @@ def _run(argv: list[str] | None) -> int:
         return 1 if failed else 0
 
     if args.command == "oracle":
-        failure = first_failure(args.m, args.max_n)
+        failure = first_failure(args.order, args.max_n)
         if failure is None:
-            print(f"m={args.m}: PASS (n = 1..{args.max_n})")
+            print(f"m={args.order}: PASS (n = 1..{args.max_n})")
             return 0
         n, lhs, rhs = failure
-        print(f"m={args.m}: FAIL at n={n} (lhs {lhs}, rhs {rhs})")
+        print(f"m={args.order}: FAIL at n={n} (lhs {lhs}, rhs {rhs})")
         return 1
 
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -41,7 +41,7 @@ wide_points = st.integers(-50, 50) | st.fractions(-1000, 1000, max_denominator=1
 
 def test_zero_terms_dropped():
     assert BiPoly({(1, 1): 0, (0, 2): 3}) == BiPoly({(0, 2): 3})
-    assert len(BiPoly({(1, 1): 0})) == 0
+    assert BiPoly({(1, 1): 0}).is_zero()
 
 
 def test_duplicate_keys_accumulate():
@@ -73,9 +73,15 @@ def test_coefficient_rejects_non_int_degrees():
     # True and 1.0 hash and compare equal to 1, so without the check they
     # would silently read the x coefficient.
     assert X.coefficient(1, 0) == 1
-    for key in ((True, 0), (1.0, 0), (0, False)):
+    for key in ((True, 0), (1.0, 0), (0, False), (0, True)):
         with pytest.raises(TypeError):
             X.coefficient(*key)
+
+
+def test_coefficient_rejects_negative_degrees():
+    # As monomial(-1, 0) does: no polynomial has such a term to read as zero.
+    with pytest.raises(ValueError):
+        X.coefficient(-1, 0)
 
 
 def test_float_coefficients_rejected():
@@ -83,6 +89,13 @@ def test_float_coefficients_rejected():
         BiPoly({(0, 0): 0.5})
     with pytest.raises(TypeError):
         X * 0.5
+
+
+def test_non_scalar_operands_rejected():
+    for operation in (lambda: X + 1.5, lambda: X * "a", lambda: 1.5 - X):
+        with pytest.raises(TypeError):
+            operation()
+    assert (X == 1.5) is False
 
 
 def test_generators():

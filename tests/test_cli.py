@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -183,6 +184,37 @@ def test_order_past_the_digit_limit_is_a_usage_error(capsys, argv):
     assert "invalid integer" not in err and len(err) < 300
 
 
+@pytest.mark.skipif(DIGIT_LIMIT == 0, reason="needs a digit limit")
+@pytest.mark.parametrize(
+    "argv",
+    [["coeffs", "200"], ["coeffs", "200", "--format", "json"], ["poly", "200"]],
+    ids=["coeffs", "coeffs-json", "poly"],
+)
+def test_output_past_the_digit_limit_is_a_usage_error(argv):
+    # Order 200 has coefficients of more than 640 digits: a subcommand that
+    # cannot print its value says so as eval does, with no traceback.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "oddpower.cli", *argv, "--allow-large"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=src, PYTHONINTMAXSTRDIGITS="640"),
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "more than 640 digits" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_other_value_errors_are_not_usage_errors(monkeypatch):
+    def broken(m):
+        raise ValueError("not a digit limit")
+
+    monkeypatch.setattr(cli, "solve_coeffs", broken)
+    with pytest.raises(ValueError, match="not a digit limit"):
+        main(["coeffs", "3"])
+
+
 def test_eval_mismatch_exits_one(capsys, monkeypatch):
     monkeypatch.setattr(cli.engine, "eval_derivative_at", lambda y, u: Rational(99))
     code, out, _ = run(capsys, "eval", "2", "--at", "1")
@@ -244,6 +276,19 @@ def test_verify_failure_names_first_residual_term(capsys, monkeypatch):
     ]
 
 
+def test_verify_pads_the_y_column_to_max_y(capsys, monkeypatch):
+    monkeypatch.setattr(cli.engine, "check_diagonal", lambda y: True)
+    monkeypatch.setattr(
+        cli.engine, "check_derivative_identity", lambda y: SimpleNamespace(holds=True)
+    )
+    code, out, _ = run(capsys, "verify", "--max-y", "100", "--allow-large")
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 102
+    assert lines[0] == "  y  diagonal  derivative  overall"
+    assert lines[1] == "  0  PASS      PASS        PASS"
+    assert lines[-1] == "100  PASS      PASS        PASS"
+
+
 def test_verify_holds_one_order_at_a_time(capsys, monkeypatch):
     real = engine.check_derivative_identity
     sizes = []
@@ -283,7 +328,7 @@ def test_sigint_exits_130_without_traceback():
         # and Python then installs no KeyboardInterrupt handler; restore it.
         preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
     ) as proc:
-        assert proc.stdout.readline().startswith(b" y  diagonal")  # the handler is in place
+        assert proc.stdout.readline().startswith(b"  y  diagonal")  # the handler is in place
         proc.send_signal(signal.SIGINT)
         stderr = proc.stderr.read()
         assert proc.wait(timeout=60) == 130
@@ -330,6 +375,24 @@ def test_large_order_refused(capsys):
     assert code == 2
     assert out == ""
     assert "soft limit" in err and "--allow-large" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeffs", "65"],
+        ["poly", "65"],
+        ["diff", "65", "--var", "x"],
+        ["eval", "65", "--at", "1"],
+        ["verify", "--max-y", "65"],
+        ["oracle", "65"],
+    ],
+    ids=["coeffs", "poly", "diff", "eval", "verify", "oracle"],
+)
+def test_every_subcommand_refuses_a_large_order(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: order 65 exceeds the soft limit 64; pass --allow-large to override\n"
 
 
 def test_large_order_allowed_with_flag(capsys):

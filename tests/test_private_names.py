@@ -6,8 +6,11 @@ read somewhere in the package: as a name, as an attribute or in an import.
 A public name listed in a module's ``__all__`` must exist in that module, so
 a deletion cannot leave a stale export behind, and it must have a reader
 outside the tests: ``cli.py``, a file under ``oddbench/`` or another package
-module (``__init__.py`` re-exports, it does not read).  The few names kept for
-library callers alone are listed in ``KEPT`` with the reason for each.
+module (``__init__.py`` re-exports, it does not read).  Each public method
+of ``BiPoly`` (no leading underscore) must likewise be read as an attribute
+in a package module or a file under ``oddbench/``.  The few names and
+methods kept for library callers alone are listed in ``KEPT`` with the
+reason for each.
 """
 
 import ast
@@ -26,6 +29,7 @@ KEPT = {
     "IdentityReport": "the type check_derivative_identity returns; the benchmark reads its .holds",
     "PolyParseError": "the error parse_poly raises, which callers catch by name",
     "UnknownVariableError": "the error parse_poly raises for a name other than x or z",
+    "BiPoly.zero": "the additive identity, the counterpart of BiPoly.one for library callers",
 }
 
 
@@ -101,4 +105,26 @@ def test_public_names_have_consumers():
         exported.update(module.__all__)
         unread += [f"{stem}:{name}" for name in module.__all__ if name not in readers | KEPT.keys()]
     assert not unread, f"exported, but only the tests read them: {unread}"
-    assert KEPT.keys() <= exported, "a KEPT name is no longer exported"
+    kept_names = {name for name in KEPT if "." not in name}
+    assert kept_names <= exported, "a KEPT name is no longer exported"
+
+
+def test_bipoly_methods_have_readers():
+    tree = ast.parse((PACKAGE / "bipoly.py").read_text())
+    (cls,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "BiPoly"]
+    methods = [
+        f"BiPoly.{node.name}"
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+    assert "BiPoly.diff" in methods, "no BiPoly methods found; is the package path right?"
+    sources = [*PACKAGE.glob("*.py"), *BENCH.glob("*.py")]
+    read = {
+        f"BiPoly.{node.attr}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    assert [method for method in methods if method not in read | KEPT.keys()] == []
+    kept_methods = {name for name in KEPT if name.startswith("BiPoly.")}
+    assert kept_methods <= set(methods), "a KEPT method is no longer defined"
