@@ -57,9 +57,18 @@ def _refuse_past_digit_limit(*parts: str) -> None:
         )
 
 
+def _int(text: str) -> int:
+    """``int(text)`` for an optional sign and the ASCII digits only; ``int()``
+    alone also reads underscores, other scripts' digits and outer whitespace."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
 def _nonneg_int(text: str) -> int:
     try:
-        value = int(text)
+        value = _int(text)
     except ValueError:
         _refuse_past_digit_limit(text)
         raise argparse.ArgumentTypeError(f"invalid integer: {text!r}")
@@ -79,9 +88,7 @@ def _rational(text: str) -> Rational:
     # Accepts "a/b" or an integer; decimals are refused to preserve exactness.
     num, sep, den = text.partition("/")
     try:
-        if sep and not den:
-            raise ValueError
-        value = Rational(int(num)) if not sep else Rational(int(num), int(den))
+        value = Rational(_int(num)) if not sep else Rational(_int(num), _int(den))
     except (ValueError, ZeroDivisionError):
         _refuse_past_digit_limit(num, den)
         raise argparse.ArgumentTypeError(

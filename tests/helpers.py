@@ -19,7 +19,12 @@ replaced.
 ``render_plain_reference`` and ``render_latex_reference`` are the two
 separate term-formatting loops that the shared formatter replaced.
 ``parse_poly_reference`` is the token-list parser that the one-pass
-``parse_poly`` replaced.  ``eval_reference`` and ``diagonal_reference`` are
+``parse_poly`` replaced.  It reads a wider grammar (``*``, repeated and
+reordered variables, ``a / b``, any Unicode digit) than ``parse_poly``,
+which reads only the plain render language, so the differential property is
+one way: what ``parse_poly`` accepts the reference reads as the same
+polynomial, and what the reference refuses ``parse_poly`` refuses.
+``eval_reference`` and ``diagonal_reference`` are
 the term-by-term ``Fraction`` evaluation and diagonal collapse that the
 common-denominator ``BiPoly.__call__`` and ``BiPoly.diagonal`` replaced.
 ``ReferenceBiPoly`` is the ``Fraction``-per-term polynomial that the

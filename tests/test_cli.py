@@ -142,6 +142,19 @@ def test_eval_rejects_zero_denominator(capsys):
     assert "invalid rational" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["coeffs", "1_0"], ["coeffs", "٣"], ["coeffs", " 3"], ["eval", "1", "--at", "1_0/3"]],
+    ids=["underscore", "arabic-indic-digit", "space", "underscore-in-point"],
+)
+def test_numbers_are_an_optional_sign_and_ascii_digits(capsys, argv):
+    # int() alone reads all four, as 10, 3, 3 and 10/3.
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: ") and err.count("\n") == 2
+    assert err.splitlines()[1].startswith("oddpower ") and ": error: argument " in err
+
+
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
 
 

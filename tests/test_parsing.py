@@ -1,4 +1,6 @@
-"""Plain-syntax polynomial parser: accepted forms, rejections, round-trips."""
+"""Plain-syntax polynomial parser: accepted forms, refusals at a position,
+round-trips, and a one-way differential test against the wider grammar of
+``parse_poly_reference``."""
 
 import sys
 import time
@@ -22,12 +24,20 @@ def test_fractional_coefficients():
     assert parse_poly("-3/4") == BiPoly.constant(Rational(-3, 4))
 
 
+def _refusal(text):
+    with pytest.raises(PolyParseError) as excinfo:
+        parse_poly(text)
+    return type(excinfo.value), excinfo.value.position
+
+
 def test_explicit_multiplication_signs():
-    assert parse_poly("-7*x*z + 14 x^2 z") == -7 * X * Z + 14 * X**2 * Z
+    assert _refusal("-7*x*z + 14 x^2 z") == (PolyParseError, 2)
 
 
 def test_star_and_whitespace_are_interchangeable():
-    assert parse_poly("3x z-3z^2") == parse_poly("3 * x * z - 3 * z ^ 2")
+    # Whitespace may be left out between pieces; '*' is not a separator.
+    assert parse_poly("3x z-3z^2") == 3 * X * Z - 3 * Z**2
+    assert _refusal("3 * x * z - 3 * z ^ 2") == (PolyParseError, 2)
 
 
 def test_juxtaposed_coefficient():
@@ -41,8 +51,9 @@ def test_like_terms_combine():
 
 
 def test_repeated_variables_multiply():
-    assert parse_poly("x x z^2 x") == X**3 * Z**2
-    assert parse_poly("x^2 * x^3") == X**5
+    # A term names each variable at most once, x before z.
+    assert _refusal("x x z^2 x") == (PolyParseError, 2)
+    assert _refusal("x^2 * x^3") == (PolyParseError, 4)
 
 
 def test_unit_exponent_allowed():
@@ -109,7 +120,7 @@ def test_error_carries_position():
 
     with pytest.raises(PolyParseError) as excinfo:
         parse_poly("x ^ z")
-    assert excinfo.value.position == 4
+    assert excinfo.value.position == 2
 
 
 _INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -132,11 +143,36 @@ def test_degree_bound():
         ("x^6000 x^6000", 7),
         ("x^9000 x^9000 x^9000", 7),
         ("x^99999999999 z^3", 0),
-        ("1 + z x z^10000", 8),
+        ("1 + z x z^10000", 6),
     ):
         with pytest.raises(PolyParseError) as excinfo:
             parse_poly(text)
         assert excinfo.value.position == position
+
+
+@pytest.mark.parametrize(
+    "text,error_class,position",
+    [
+        ("-7*x*z + 14 x^2 z", PolyParseError, 2),
+        ("3 * x * z - 3 * z ^ 2", PolyParseError, 2),
+        ("x x z^2 x", PolyParseError, 2),
+        ("x^2 * x^3", PolyParseError, 4),
+        ("x ^ z", PolyParseError, 2),
+        ("1 + z x z^10000", PolyParseError, 6),
+        ("2*x", PolyParseError, 1),
+        ("z x", PolyParseError, 2),
+        ("1 / 2 x", PolyParseError, 2),
+        ("1/0", PolyParseError, 2),
+        ("x^0", PolyParseError, 2),
+        ("x +", PolyParseError, 3),
+        ("+ + x", PolyParseError, 2),
+        ("xz", UnknownVariableError, 0),
+        ("x2", UnknownVariableError, 0),
+        ("\u0663 x", PolyParseError, 0),
+    ],
+)
+def test_refusal_class_and_position(text, error_class, position):
+    assert _refusal(text) == (error_class, position)
 
 
 def test_error_hierarchy():
@@ -174,6 +210,23 @@ def _outcome(parse, text):
         return type(exc), str(exc), exc.position
 
 
+def _agrees_with_reference(text):
+    """``parse_poly`` reads a subset of the reference's grammar: a text it
+    accepts the reference reads as the same polynomial, and a text the
+    reference refuses it refuses too."""
+    try:
+        expected = parse_poly_reference(text)
+    except PolyParseError:
+        with pytest.raises(PolyParseError):
+            parse_poly(text)
+        return
+    try:
+        actual = parse_poly(text)
+    except PolyParseError:
+        return
+    assert actual == expected
+
+
 @settings(max_examples=500)
 @given(text=st.lists(st.sampled_from(_PIECES), max_size=12).map("".join))
 # Errors that random strings of the pieces above seldom reach.
@@ -183,7 +236,7 @@ def _outcome(parse, text):
 @example("z^6000 x z^6000")
 @example("x - 3 *\t+ z")
 def test_matches_reference_parser(text):
-    assert _outcome(parse_poly, text) == _outcome(parse_poly_reference, text)
+    _agrees_with_reference(text)
 
 
 # Values for the pieces of near-canonical terms: zero (a zero denominator or
@@ -217,7 +270,7 @@ def _near_canonical(draw):
 
 @settings(max_examples=500)
 @given(text=_near_canonical())
-# Where the term scan must hand over to the factor loop.
+# Spellings at the edge of the parser's language and of the values it reads.
 @example("xz")
 @example("2x^3z")
 @example("x^2z")
@@ -230,18 +283,56 @@ def _near_canonical(draw):
 @example("z^10001")
 @example("3 x - ")
 def test_near_canonical_terms_match_reference_parser(text):
-    assert _outcome(parse_poly, text) == _outcome(parse_poly_reference, text)
+    _agrees_with_reference(text)
 
 
-# About 1 MB each: the term scan runs over every term of the second before
-# the factor loop reads it again.  A linear parse takes about a second or
-# less; a scan that restarted at every position would take hours.
+_SPACES = st.text(" \t\n\u2003", max_size=2)
+
+
+@st.composite
+def _rendered_shape(draw):
+    """Text in the plain renderer's shape: terms of a sign (optional on the
+    first), ``a`` or ``a/b``, ``x^i`` and ``z^j``, each piece optional but
+    not all, whitespace only between pieces and every value in range."""
+    text = draw(_SPACES)
+    for index in range(draw(st.integers(1, 4))):
+        text += draw(st.sampled_from(["+", "-"] if index else ["+", "-", ""])) + draw(_SPACES)
+        has_coeff, has_x, has_z = draw(st.tuples(st.booleans(), st.booleans(), st.booleans()).filter(any))
+        if has_coeff:
+            text += str(draw(st.integers(0, 10**30)))
+            if draw(st.booleans()):
+                text += f"/{draw(st.integers(1, 10**6))}"
+            text += draw(_SPACES)
+        for name, present in (("x", has_x), ("z", has_z)):
+            if present:
+                exponent = draw(st.none() | st.integers(1, MAX_DEGREE))
+                if name == "z" and text.endswith("x"):
+                    text += " "  # "xz" would be one name
+                text += (name if exponent is None else f"{name}^{exponent}") + draw(_SPACES)
+    return text
+
+
+@settings(max_examples=300)
+@given(text=_rendered_shape())
+@example("1")
+@example("x")
+@example("-z")
+@example("0/7 x^1 z^10000")
+@example("x z")
+@example(" 2x^3z\n")
+def test_rendered_shape_is_accepted(text):
+    assert parse_poly(text) == parse_poly_reference(text)
+
+
+# About 1 MB each, each refused in its last term or its first.  A linear
+# parse takes about a second or less; a scan that restarted at every position
+# would take hours.
 @pytest.mark.parametrize(
     "text,expected",
     [
         ("1" * 10**6 + "y", (PolyParseError, 0)),
         ("x + " * 250_000 + "y", (UnknownVariableError, 10**6)),
-        ("x^1 z " * 170_000, (PolyParseError, 6 * MAX_DEGREE)),
+        ("x^1 z " * 170_000, (PolyParseError, 6)),
         (" " * 10**6 + "y", (UnknownVariableError, 10**6)),
     ],
     ids=["digits", "terms", "factors", "spaces"],
