@@ -6,7 +6,7 @@ proves (by exact zero-residual comparison) that the sum of its partial
 derivatives on the diagonal is the ordinary derivative (2y+1) x^(2y).
 """
 
-from .bipoly import BiPoly, X, Z
+from .bipoly import BiPoly
 from .coefficients import first_failure, solve_coeffs, verify_identity
 from .engine import (
     IdentityReport,
@@ -24,8 +24,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BiPoly",
-    "X",
-    "Z",
     "first_failure",
     "solve_coeffs",
     "verify_identity",

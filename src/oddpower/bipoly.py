@@ -9,21 +9,23 @@ for each polynomial, so structural equality is polynomial equality and no
 normalization is ever deferred.  Instances are immutable after construction
 and safe to share across threads.
 
-Addition, subtraction, products, partial derivatives, the diagonal
-substitution and evaluation all work on the integer numerators, over the
-least common multiple of the operands' denominators, and reduce each result
-once by one gcd.  ``Rational`` coefficients appear only at the API edge:
-construction, :meth:`BiPoly.coefficient` and :meth:`BiPoly.terms`.
+Addition, subtraction, partial derivatives, the diagonal substitution and
+evaluation all work on the integer numerators, over the least common
+multiple of the operands' denominators, and reduce each result once by one
+gcd.  There is no product: the family is assembled from integer rows in
+``powersums.combine_conv_sums``.  ``Rational`` coefficients appear only at
+the API edge: construction, :meth:`BiPoly.coefficient` and
+:meth:`BiPoly.terms`.
 
 Canonical term order, used for iteration and rendering: ascending total
 degree, ties broken by ascending z-degree.  For two variables this is a
 total order on exponent pairs, so output is deterministic.
 
-Degrees and ``**`` exponents must be non-negative ``int`` (checked by
-``rationals._check_order``), and coefficients and scalar operands ``int`` or
-``Rational``; anything else (in particular ``float`` and ``bool``) raises
-``TypeError``, to preserve exactness, and a negative degree or exponent
-``ValueError``.
+Degrees must be non-negative ``int`` (checked by
+``rationals._check_order``), and coefficients, scalar operands and
+evaluation points ``int`` or ``Rational``; anything else (in particular
+``float`` and ``bool``) raises ``TypeError``, to preserve exactness, and a
+negative degree ``ValueError``.
 """
 
 from __future__ import annotations
@@ -33,25 +35,26 @@ from typing import Iterable, Iterator, Mapping, Union
 
 from .rationals import Rational, _check_order
 
-__all__ = ["BiPoly", "X", "Z"]
+__all__ = ["BiPoly"]
 
 MonomialKey = tuple[int, int]
 CoefficientLike = Union[int, Rational]
 _Numerators = dict[MonomialKey, int]
 
 
-def _as_rational(value: CoefficientLike) -> Rational:
+def _as_rational(value: CoefficientLike, what: str) -> Rational:
+    """``value`` as a ``Rational``; ``what`` names it in the ``TypeError``."""
     if isinstance(value, Rational):
         return value
     if type(value) is int:  # not isinstance: bool is an int subclass
         return Rational(value)
-    raise TypeError(f"coefficients must be int or Rational, got {type(value).__name__}")
+    raise TypeError(f"{what} must be int or Rational, got {type(value).__name__}")
 
 
 def _lift(value: object) -> BiPoly:
     """``value`` as a polynomial: a ``BiPoly`` itself, an ``int`` or
     ``Rational`` as a constant, and ``NotImplemented`` for anything else, so
-    that the scalar operands of ``+ - * ==`` all take the one path."""
+    that the scalar operands of ``+ - ==`` all take the one path."""
     if isinstance(value, BiPoly):
         return value
     if type(value) is int or isinstance(value, Rational):
@@ -62,9 +65,10 @@ def _lift(value: object) -> BiPoly:
 class BiPoly:
     """An exact polynomial in x and z over the rationals.
 
-    Supports ``+``, ``-``, ``*``, ``**`` (with each other and with scalars),
-    partial differentiation via :meth:`diff`, evaluation by calling the
-    instance, and the diagonal substitution z -> x via :meth:`diagonal`.
+    Supports ``+``, ``-`` and ``==`` (with each other and with a scalar on
+    the right), partial differentiation via :meth:`diff`, evaluation by
+    calling the instance, and the diagonal substitution z -> x via
+    :meth:`diagonal`.  The zero polynomial is ``BiPoly()``.
     """
 
     __slots__ = ("_den", "_nums", "_sorted")
@@ -79,21 +83,13 @@ class BiPoly:
         for (deg_x, deg_z), coeff in items:
             _check_order(deg_x, "deg_x")
             _check_order(deg_z, "deg_z")
-            value = _as_rational(coeff)
+            value = _as_rational(coeff, "coefficient")
             fractions.append(((deg_x, deg_z), value.numerator, value.denominator))
         poly = _from_fractions(fractions)
         self._den, self._nums = poly._den, poly._nums
         self._sorted: list[MonomialKey] | None = None
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> BiPoly:
-        return cls()
-
-    @classmethod
-    def one(cls) -> BiPoly:
-        return cls.constant(1)
 
     @classmethod
     def constant(cls, value: CoefficientLike) -> BiPoly:
@@ -134,50 +130,15 @@ class BiPoly:
     def degree_z(self) -> int:
         return max((dz for _, dz in self._nums), default=-1)
 
-    # -- ring operations ---------------------------------------------------
+    # -- addition and subtraction ------------------------------------------
 
     def __add__(self, other: BiPoly | CoefficientLike) -> BiPoly:
         other = _lift(other)
         return other if other is NotImplemented else _add(self, other, 1)
 
-    __radd__ = __add__
-
-    def __neg__(self) -> BiPoly:
-        return _from_ints(self._den, {key: -num for key, num in self._nums.items()})
-
     def __sub__(self, other: BiPoly | CoefficientLike) -> BiPoly:
         other = _lift(other)
         return other if other is NotImplemented else _add(self, other, -1)
-
-    def __rsub__(self, other: CoefficientLike) -> BiPoly:
-        return (-self).__add__(other)
-
-    def __mul__(self, other: BiPoly | CoefficientLike) -> BiPoly:
-        other = _lift(other)
-        if other is NotImplemented:
-            return other
-        products: _Numerators = {}
-        for (ax, az), an in self._nums.items():
-            for (bx, bz), bn in other._nums.items():
-                key = (ax + bx, az + bz)
-                products[key] = products.get(key, 0) + an * bn
-        nums = {key: num for key, num in products.items() if num}
-        return _from_ints(self._den * other._den, nums)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> BiPoly:
-        _check_order(exponent, "exponent")
-        result = BiPoly.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
 
     # -- calculus and substitution ----------------------------------------
 
@@ -200,8 +161,8 @@ class BiPoly:
 
         summed on integers, one row per x-degree, and reduced once.
         """
-        x_val = _as_rational(x_val)
-        z_val = _as_rational(z_val)
+        x_val = _as_rational(x_val, "x")
+        z_val = _as_rational(z_val, "z")
         if not self._nums:
             return Rational(0)
         x_pow = _scaled_powers(x_val, self.degree_x())
@@ -335,6 +296,3 @@ def _format_terms(poly: BiPoly, fraction: str, power: str) -> str:
     parts[0] = "-" if parts[0] == " - " else ""
     return "".join(parts)
 
-
-X = BiPoly.monomial(1, 0)
-Z = BiPoly.monomial(0, 1)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import solve_coeffs_by_elimination, solve_coeffs_reference
-from oddpower.bipoly import X
+from helpers import scale, solve_coeffs_by_elimination, solve_coeffs_reference
+from oddpower.bipoly import BiPoly
 import oddpower.coefficients as coefficients
 from oddpower.coefficients import first_failure, solve_coeffs, verify_identity
 from oddpower.powersums import conv_sum
@@ -42,8 +42,10 @@ def test_top_coefficient_closed_form(m):
 @pytest.mark.parametrize("m", range(13))
 def test_row_reconstructs_odd_power_on_diagonal(m):
     row = solve_coeffs(m)
-    combined = sum((a * conv_sum(r).diagonal() for r, a in enumerate(row)), X * 0)
-    assert combined == X ** (2 * m + 1)
+    combined = BiPoly()
+    for r, a in enumerate(row):
+        combined = combined + scale(conv_sum(r).diagonal(), a)
+    assert combined == BiPoly.monomial(2 * m + 1, 0)
 
 
 def test_recurrence_matches_elimination():

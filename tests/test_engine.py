@@ -16,7 +16,7 @@ from helpers import (
     diagonal_reference,
     eval_reference,
 )
-from oddpower.bipoly import BiPoly, X, Z
+from oddpower.bipoly import BiPoly
 from oddpower.coefficients import solve_coeffs
 from oddpower.engine import (
     build_poly,
@@ -31,7 +31,7 @@ from oddpower.rationals import Rational, bernoulli
 
 
 def test_order_zero_is_plain_count():
-    assert build_poly(0) == Z
+    assert build_poly(0) == BiPoly.monomial(0, 1)
 
 
 def test_first_three_members():
@@ -88,7 +88,7 @@ def test_matches_literal_double_sum(y):
 @pytest.mark.parametrize("y", range(9))
 def test_diagonal_collapses_to_odd_power(y):
     assert check_diagonal(y)
-    assert build_poly(y).diagonal() == X ** (2 * y + 1)
+    assert build_poly(y).diagonal() == BiPoly.monomial(2 * y + 1, 0)
 
 
 @pytest.mark.parametrize("y", range(9))
@@ -96,7 +96,7 @@ def test_derivative_identity_holds(y):
     report = check_derivative_identity(y)
     assert report.holds
     assert report.residual.is_zero()
-    assert derivative_sum(y).diagonal() == (2 * y + 1) * X ** (2 * y)
+    assert derivative_sum(y).diagonal() == BiPoly.monomial(2 * y, 0, 2 * y + 1)
 
 
 @pytest.mark.parametrize("y", range(9))
@@ -106,15 +106,16 @@ def test_report_fields_are_consistent(y):
     partial_x, partial_z = poly.diff("x"), poly.diff("z")
     assert report.y == y
     assert derivative_sum(y) == partial_x + partial_z
-    assert report.residual == (partial_x + partial_z).diagonal() - (2 * y + 1) * X ** (2 * y)
+    expected = BiPoly.monomial(2 * y, 0, 2 * y + 1)
+    assert report.residual == (partial_x + partial_z).diagonal() - expected
     assert report.holds == report.residual.is_zero()
     assert report._fields == ("y", "residual", "holds")
 
 
 def test_diagonal_sums_small_orders():
-    assert derivative_sum(1).diagonal() == 3 * X**2
-    assert derivative_sum(2).diagonal() == 5 * X**4
-    assert derivative_sum(3).diagonal() == 7 * X**6
+    assert derivative_sum(1).diagonal() == BiPoly.monomial(2, 0, 3)
+    assert derivative_sum(2).diagonal() == BiPoly.monomial(4, 0, 5)
+    assert derivative_sum(3).diagonal() == BiPoly.monomial(6, 0, 7)
 
 
 def test_derivative_sum_is_partial_sum():
@@ -179,7 +180,6 @@ def assert_one_reduced_denominator(poly: BiPoly) -> None:
 
 
 def test_one_reduced_denominator_after_every_operation():
-    f_2 = build_poly(2)
     for y in range(21):
         f = build_poly(y)
         partial_x, partial_z = f.diff("x"), f.diff("z")
@@ -192,16 +192,11 @@ def test_one_reduced_denominator_after_every_operation():
             f.diagonal(),
             derivative_sum(y),
             check_derivative_identity(y).residual,
-            -f,
             f + f,
             f - f,
             f - partial_z,
             f + Rational(1, 2),
-            Rational(1, 3) - f,
-            f * Rational(7, 3),
-            Rational(5, 7) * f,
-            f * f_2,
-            f ** (2 if y <= 8 else 1),
+            f - Rational(1, 3),
             parse_poly(str(f)),
             BiPoly(((dx, dz), c) for dx, dz, c in f.terms()),
             conv_sum(y),

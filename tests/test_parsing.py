@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import F1, parse_poly_reference
-from oddpower.bipoly import BiPoly, X, Z
+from oddpower.bipoly import BiPoly
 from oddpower.parsing import MAX_DEGREE, PolyParseError, UnknownVariableError, parse_poly
 from oddpower.rationals import Rational
 
@@ -20,7 +20,8 @@ def test_reference_polynomial():
 
 
 def test_fractional_coefficients():
-    assert parse_poly("1/2 z^2 + 1/2 z") == Rational(1, 2) * Z**2 + Rational(1, 2) * Z
+    half = Rational(1, 2)
+    assert parse_poly("1/2 z^2 + 1/2 z") == BiPoly({(0, 2): half, (0, 1): half})
     assert parse_poly("-3/4") == BiPoly.constant(Rational(-3, 4))
 
 
@@ -36,18 +37,18 @@ def test_explicit_multiplication_signs():
 
 def test_star_and_whitespace_are_interchangeable():
     # Whitespace may be left out between pieces; '*' is not a separator.
-    assert parse_poly("3x z-3z^2") == 3 * X * Z - 3 * Z**2
+    assert parse_poly("3x z-3z^2") == BiPoly({(1, 1): 3, (0, 2): -3})
     assert _refusal("3 * x * z - 3 * z ^ 2") == (PolyParseError, 2)
 
 
 def test_juxtaposed_coefficient():
-    assert parse_poly("2x") == 2 * X
+    assert parse_poly("2x") == BiPoly.monomial(1, 0, 2)
 
 
 def test_like_terms_combine():
-    assert parse_poly("x + x") == 2 * X
-    assert parse_poly("x - x") == BiPoly.zero()
-    assert parse_poly("1/3 z + 1/6 z") == Rational(1, 2) * Z
+    assert parse_poly("x + x") == BiPoly.monomial(1, 0, 2)
+    assert parse_poly("x - x") == BiPoly()
+    assert parse_poly("1/3 z + 1/6 z") == BiPoly.monomial(0, 1, Rational(1, 2))
 
 
 def test_repeated_variables_multiply():
@@ -57,18 +58,18 @@ def test_repeated_variables_multiply():
 
 
 def test_unit_exponent_allowed():
-    assert parse_poly("x^1 z^1") == X * Z
+    assert parse_poly("x^1 z^1") == BiPoly.monomial(1, 1)
 
 
 def test_leading_sign():
-    assert parse_poly("-x") == -X
-    assert parse_poly("+x") == X
-    assert parse_poly("x\n") == X
+    assert parse_poly("-x") == BiPoly.monomial(1, 0, -1)
+    assert parse_poly("+x") == BiPoly.monomial(1, 0)
+    assert parse_poly("x\n") == BiPoly.monomial(1, 0)
 
 
 def test_constants():
     assert parse_poly("5") == 5
-    assert parse_poly("0") == BiPoly.zero()
+    assert parse_poly("0") == BiPoly()
     assert parse_poly("3/6") == Rational(1, 2)
 
 
@@ -136,7 +137,7 @@ def test_overlong_integer_literal_is_a_parse_error():
 
 
 def test_degree_bound():
-    assert parse_poly(f"x^{MAX_DEGREE}") == X**MAX_DEGREE
+    assert parse_poly(f"x^{MAX_DEGREE}") == BiPoly.monomial(MAX_DEGREE, 0)
     assert parse_poly("x^10000 z^10000") == BiPoly.monomial(10000, 10000)
     for text, position in (
         ("x^10001", 0),

@@ -11,26 +11,60 @@ of ``BiPoly`` (no leading underscore) must likewise be read as an attribute
 in a package module or a file under ``oddbench/``.  The few names and
 methods kept for library callers alone are listed in ``KEPT`` with the
 reason for each.
+
+An AST walk cannot tell who reads an operator (``a * b`` reads the same on
+two ``int`` as on two ``BiPoly``), so the dunders of ``BiPoly`` are checked by
+a census at run time: every method of the class is wrapped to count its
+calls, then each CLI subcommand runs in each format, along with a ``verify``
+failure row and the calls of one ``roundtrip`` request of the benchmark.
+Every dunder must have run at least once, except those in ``DUNDERS_KEPT``,
+each with its reason.
 """
 
 import ast
+import functools
 import importlib
+import inspect
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import oddpower
+import oddpower.engine as engine
+from oddpower.bipoly import BiPoly
+from oddpower.cli import main
+from oddpower.rendering import FORMATS
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "oddpower"
 BENCH = PACKAGE.parent.parent / "oddbench"
 
 KEPT = {
-    "X": "ring generator; the README and the differential tests write polynomials in X and Z",
-    "Z": "ring generator; the README and the differential tests write polynomials in X and Z",
     "MAX_DEGREE": "the parser's documented degree bound, which callers need to stay inside it",
     "IdentityReport": "the type check_derivative_identity returns; the benchmark reads its .holds",
     "PolyParseError": "the error parse_poly raises, which callers catch by name",
     "UnknownVariableError": "the error parse_poly raises for a name other than x or z",
-    "BiPoly.zero": "the additive identity, the counterpart of BiPoly.one for library callers",
 }
+
+DUNDERS_KEPT = {
+    "__init__": "the constructor, BiPoly({...}), by which a library caller writes a polynomial",
+    "__eq__": "polynomial equality; with scalars through _lift, so that BiPoly() == 0 is True",
+    "__hash__": "required because __eq__ is defined, which would otherwise make BiPoly unhashable",
+    "__str__": "the plain render, and how print() shows a polynomial",
+    "__repr__": "what the README's Library doctest prints for a polynomial",
+    "__bool__": "without it a zero polynomial would be truthy",
+}
+
+# Each CLI subcommand in each of its formats, at small orders.
+CENSUS_ARGV = [
+    ["coeffs", "3"],
+    ["coeffs", "3", "--format", "json"],
+    *(["poly", "2", "--format", fmt] for fmt in FORMATS),
+    *(["diff", "2", "--var", v, "--format", fmt] for v in ("x", "z", "both") for fmt in FORMATS),
+    ["eval", "3", "--at", "-3/4"],
+    ["verify", "--max-y", "3"],
+    ["oracle", "3", "--max-n", "10"],
+]
+CACHED = ("bernoulli", "power_sum", "conv_sum", "solve_coeffs", "build_poly", "derivative_sum")
 
 
 def _is_private(name: str) -> bool:
@@ -128,3 +162,61 @@ def test_bipoly_methods_have_readers():
     assert [method for method in methods if method not in read | KEPT.keys()] == []
     kept_methods = {name for name in KEPT if name.startswith("BiPoly.")}
     assert kept_methods <= set(methods), "a KEPT method is no longer defined"
+
+
+def _counting(calls: Counter, name: str, function):
+    @functools.wraps(function)
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return function(*args, **kwargs)
+
+    return counted
+
+
+def _clear_caches() -> None:
+    for name in CACHED:
+        getattr(oddpower, name).cache_clear()
+
+
+def test_bipoly_dunders_run(monkeypatch):
+    # Wrap every method of the class body, aliases such as ``__radd__ =
+    # __add__`` under their own name, so each name's calls are counted apart.
+    calls: Counter = Counter()
+    methods = []
+    for name, value in vars(BiPoly).items():
+        if inspect.isfunction(value):
+            monkeypatch.setattr(BiPoly, name, _counting(calls, name, value))
+        elif isinstance(value, classmethod):
+            counted = _counting(calls, name, value.__func__)
+            monkeypatch.setattr(BiPoly, name, classmethod(counted))
+        else:
+            continue
+        methods.append(name)
+    dunders = [name for name in methods if name.startswith("__") and name.endswith("__")]
+    assert "__add__" in dunders and "diff" in methods, "no BiPoly methods wrapped"
+    assert DUNDERS_KEPT.keys() <= set(dunders), "a DUNDERS_KEPT method is no longer defined"
+
+    _clear_caches()
+    try:
+        for argv in CENSUS_ARGV:
+            assert main(argv) == 0, argv
+        # The calls of one roundtrip request of oddbench/run.py, made directly.
+        y = 5
+        poly = oddpower.build_poly(y)
+        texts = {fmt: oddpower.render(poly, fmt) for fmt in FORMATS}
+        assert oddpower.parse_poly(texts["plain"]) == oddpower.build_poly(y)
+        u = Fraction(-3, 7)
+        assert oddpower.eval_derivative_at(y, u) == (2 * y + 1) * u ** (2 * y)
+        # One verify FAIL row, as in test_cli::test_verify_failure_names_first_residual_term.
+        real = oddpower.solve_coeffs
+        row = real(2)
+        corrupted = (row[0], row[1], row[2] + Fraction(1, 2))
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "solve_coeffs", lambda m: corrupted if m == 2 else real(m))
+            _clear_caches()
+            assert main(["verify", "--max-y", "2"]) == 1
+    finally:
+        _clear_caches()
+
+    unrun = [name for name in dunders if not calls[name] and name not in DUNDERS_KEPT]
+    assert unrun == [], f"BiPoly dunders that no subcommand or roundtrip call runs: {unrun}"
