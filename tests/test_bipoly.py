@@ -267,10 +267,16 @@ def test_hash_consistency():
 # -- algebraic properties --------------------------------------------------
 
 
-@given(p=bipolys, q=bipolys, r=bipolys)
-def test_add_commutes_and_associates(p, q, r):
+@given(p=bipolys, q=bipolys)
+def test_add_and_mul_commute(p, q):
     assert p + q == q + p
+    assert p + 3 == BiPoly.constant(3) + p
+
+
+@given(p=bipolys, q=bipolys, r=bipolys)
+def test_associativity_and_distributivity(p, q, r):
     assert (p + q) + r == p + (q + r)
+    assert p - (q + r) == (p - q) - r
     assert (p + q) - q == p
 
 
