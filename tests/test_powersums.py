@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import conv_sum_reference, power_sum_reference, shift_z
+from helpers import conv_sum_reference, power_sum_reference, scale, shift_z
 from oddpower.bipoly import BiPoly
-from oddpower.powersums import conv_sum, power_sum
+from oddpower.powersums import combine_conv_sums, conv_sum, power_sum
 from oddpower.rationals import Rational
 
 
@@ -114,3 +114,33 @@ def test_conv_sum_matches_reference_to_order_64():
 def test_conv_sum_rejects_negative():
     with pytest.raises(ValueError):
         conv_sum(-1)
+
+
+# Entry denominators of small primes, which the power-sum denominators (the
+# Bernoulli denominators and p + 1) share, so that a part's scalar can cancel
+# against them, next to arbitrary ones and one prime (691) that none shares
+# at these orders.
+_SMALL_PRIME_DENOMINATORS = [2, 3, 5, 6, 7, 30, 42, 11 * 13, 2**7 * 3**4 * 5**2 * 7, 691]
+_ROW_ENTRIES = st.one_of(
+    st.just(0),
+    st.integers(-(10**12), 10**12),
+    st.builds(
+        Rational,
+        st.integers(-(10**40), 10**40),
+        st.sampled_from(_SMALL_PRIME_DENOMINATORS) | st.integers(1, 10**9),
+    ),
+)
+
+
+@given(row=st.lists(_ROW_ENTRIES, max_size=12))
+def test_combine_conv_sums_matches_scaled_conv_sums(row):
+    expected = BiPoly()
+    for r, a in enumerate(row):
+        expected = expected + scale(conv_sum_reference(r), a)
+    assert combine_conv_sums(row) == expected
+
+
+@pytest.mark.parametrize("row", [[1.5], [0.0, 1], [True], ["a"]], ids=repr)
+def test_combine_conv_sums_rejects_non_rational_entries(row):
+    with pytest.raises(TypeError, match="row entry must be int or Rational"):
+        combine_conv_sums(row)
