@@ -101,9 +101,6 @@ class BiPoly:
 
     # -- inspection --------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self._nums
-
     def __bool__(self) -> bool:
         return bool(self._nums)
 

@@ -17,13 +17,14 @@ time: after each row it clears the ``build_poly`` and ``derivative_sum``
 caches, so its memory does not grow with --max-y.
 
 Exit codes: 0 success / all checks pass, 1 a verification failed, 2 usage or
-parse error, or an order, a count or an ``eval`` point with more digits than
-the interpreter reads, or any value to be printed with more digits than it
-prints (``sys.get_int_max_str_digits()``, 4300 by default; one ``error:``
-line on stderr), 130 interrupted by Ctrl-C (SIGINT; ``interrupted`` is
-printed to stderr, with no traceback), 141 stdout was closed before the
-output was written (as in ``oddpower poly 64 | head``; nothing is printed to
-stderr).
+parse error (a number is an optional sign and the ASCII digits, ``a/b`` for
+--at; other text is an invalid integer or rational, echoed back, and a
+well-formed number with more digits than the interpreter reads is named as
+such, not echoed) or any value to be printed with more digits than it prints
+(``sys.get_int_max_str_digits()``, 4300 by default; one ``error:`` line on
+stderr), 130 interrupted by Ctrl-C (SIGINT; ``interrupted`` is printed to
+stderr, with no traceback), 141 stdout was closed before the output was
+written (as in ``oddpower poly 64 | head``; nothing is printed to stderr).
 Orders above 64, and oracle ranges --max-n above 1000, are refused unless
 --allow-large is given, to keep accidental runtimes in check.
 """
@@ -46,23 +47,19 @@ EXIT_INTERRUPTED = 130  # 128 + SIGINT, what a shell reports for a program stopp
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer killed by the signal
 
 
-def _refuse_past_digit_limit(*parts: str) -> None:
-    """Name the interpreter's digit limit, without echoing the digits, when a
-    part of a number that ``int()`` refused has more digits than it reads."""
+def _int(text: str) -> int:
+    """``int(text)`` for an optional sign and the ASCII digits only; ``int()``
+    alone also reads underscores, other scripts' digits and outer whitespace.
+    A number with more digits than ``int()`` reads is named, not echoed."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(text)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    if 0 < limit < max(sum(map(str.isdecimal, part)) for part in parts):
+    if 0 < limit < len(digits):
         raise argparse.ArgumentTypeError(
             f"the number has more than {limit} digits, the interpreter's limit for "
             "reading an integer (PYTHONINTMAXSTRDIGITS raises it)"
         )
-
-
-def _int(text: str) -> int:
-    """``int(text)`` for an optional sign and the ASCII digits only; ``int()``
-    alone also reads underscores, other scripts' digits and outer whitespace."""
-    digits = text[1:] if text[:1] in ("+", "-") else text
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(text)
     return int(text)
 
 
@@ -70,7 +67,6 @@ def _nonneg_int(text: str) -> int:
     try:
         value = _int(text)
     except ValueError:
-        _refuse_past_digit_limit(text)
         raise argparse.ArgumentTypeError(f"invalid integer: {text!r}")
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative: {text!r}")
@@ -90,7 +86,6 @@ def _rational(text: str) -> Rational:
     try:
         value = Rational(_int(num)) if not sep else Rational(_int(num), _int(den))
     except (ValueError, ZeroDivisionError):
-        _refuse_past_digit_limit(num, den)
         raise argparse.ArgumentTypeError(
             f"invalid rational {text!r}, expected an integer or a/b"
         )

@@ -150,7 +150,7 @@ def solve_coeffs_by_elimination(m: int) -> list[Rational]:
         a = residual.coefficient(2 * r + 1, 0) / diagonals[r].coefficient(2 * r + 1, 0)
         values[r] = a
         residual = residual - scale(diagonals[r], a)
-    assert residual.is_zero(), f"nonzero residual after solving order {m}: {residual}"
+    assert not residual, f"nonzero residual after solving order {m}: {residual}"
     return values
 
 
@@ -259,7 +259,8 @@ class ReferenceBiPoly:
 
     Offers the operations of ``BiPoly`` that the differential tests compare:
     ``+`` and ``-`` with each other and with a scalar on the right, ``diff``,
-    ``diagonal``, evaluation, ``coefficient``, ``terms``, ``==`` and ``hash``.
+    ``diagonal``, evaluation, ``coefficient``, ``terms``, ``==``, ``hash`` and
+    truth (a zero polynomial is falsy).
     """
 
     def __init__(self, terms: Mapping | Iterable = ()):
@@ -272,8 +273,8 @@ class ReferenceBiPoly:
         poly.coeffs = coeffs
         return poly
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
 
     def coefficient(self, deg_x: int, deg_z: int) -> Rational:
         return self.coeffs.get((deg_x, deg_z), Rational(0))
@@ -343,7 +344,7 @@ def shift_z(poly: BiPoly, offset: int | Rational) -> BiPoly:
 
 def render_plain_reference(poly: BiPoly) -> str:
     """Plain text, formatted term by term with Fraction arithmetic."""
-    if poly.is_zero():
+    if not poly:
         return "0"
     parts: list[str] = []
     for dx, dz, coeff in poly.terms():
@@ -372,7 +373,7 @@ def _latex_magnitude(value: Rational) -> str:
 
 def render_latex_reference(poly: BiPoly) -> str:
     """LaTeX, formatted term by term with Fraction arithmetic."""
-    if poly.is_zero():
+    if not poly:
         return "0"
     parts: list[str] = []
     for dx, dz, coeff in poly.terms():

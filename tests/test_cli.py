@@ -187,7 +187,11 @@ def test_eval_point_past_the_digit_limit_is_a_usage_error(capsys, point):
 
 
 @pytest.mark.skipif(DIGIT_LIMIT == 0, reason="needs a digit limit")
-@pytest.mark.parametrize("argv", [["coeffs"], ["verify", "--max-y"]], ids=["coeffs", "verify"])
+@pytest.mark.parametrize(
+    "argv",
+    [["coeffs"], ["verify", "--max-y"], ["oracle", "3", "--max-n"]],
+    ids=["coeffs", "verify", "oracle-max-n"],
+)
 def test_order_past_the_digit_limit_is_a_usage_error(capsys, argv):
     # The order parser names the limit as --at's does, and does not echo the digits.
     code, out, err = run(capsys, *argv, "9" * (DIGIT_LIMIT + 700))
@@ -195,6 +199,26 @@ def test_order_past_the_digit_limit_is_a_usage_error(capsys, argv):
     assert err.startswith("usage: ") and err.count("\n") == 2
     assert f"the number has more than {DIGIT_LIMIT} digits" in err
     assert "invalid integer" not in err and len(err) < 300
+
+
+@pytest.mark.skipif(DIGIT_LIMIT == 0, reason="needs a digit limit")
+@pytest.mark.parametrize(
+    ("argv", "reason"),
+    [
+        (["coeffs", "1" * (DIGIT_LIMIT + 100) + "a"], "invalid integer"),
+        (["coeffs", "\u0661" * (DIGIT_LIMIT + 700)], "invalid integer"),
+        (["eval", "2", "--at", "1/xxxxxxxxxx" + "2" * (DIGIT_LIMIT + 100)], "invalid rational"),
+    ],
+    ids=["trailing-letter", "arabic-indic-digits", "letters-in-denominator"],
+)
+def test_long_text_that_is_not_a_number_is_invalid(capsys, argv, reason):
+    # Only the ASCII digits count toward the limit, and only in a text that
+    # is a number: anything else is malformed, however long, and raising the
+    # limit would not make it read.
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: ") and err.count("\n") == 2
+    assert reason in err and "digits" not in err
 
 
 @pytest.mark.skipif(DIGIT_LIMIT == 0, reason="needs a digit limit")

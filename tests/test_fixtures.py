@@ -40,7 +40,7 @@ def test_bundled_corpus_spot_checks():
 def test_fixture_fields():
     for name, poly in load_corpus().items():
         assert name
-        assert isinstance(poly, BiPoly) and not poly.is_zero()
+        assert isinstance(poly, BiPoly) and poly
 
 
 def test_parse_skips_blanks_and_comments():

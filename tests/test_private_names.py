@@ -51,7 +51,6 @@ DUNDERS_KEPT = {
     "__hash__": "required because __eq__ is defined, which would otherwise make BiPoly unhashable",
     "__str__": "the plain render, and how print() shows a polynomial",
     "__repr__": "what the README's Library doctest prints for a polynomial",
-    "__bool__": "without it a zero polynomial would be truthy",
 }
 
 # Each CLI subcommand in each of its formats, at small orders.
