@@ -1,14 +1,19 @@
 """Sparse exact bivariate polynomials in the variables x and z.
 
 A ``BiPoly`` holds its rational coefficients as integer numerators over one
-shared denominator, the primitive-part layout of FLINT's ``fmpq_poly``: a
-map from exponent pairs ``(deg_x, deg_z)`` to nonzero ``int`` numerators,
-and one ``int`` denominator ``den > 0`` with ``gcd(den, *numerators) == 1``.
-The zero polynomial is the empty map over ``den == 1``.  That pair is unique
-for each polynomial, so structural equality is polynomial equality and no
-normalization is ever deferred.  Instances are immutable after construction
-and safe to share across threads.
+shared denominator, the primitive-part layout of FLINT's ``fmpq_poly``: one
+``int`` denominator ``den > 0`` with ``gcd(den, *numerators) == 1``, and the
+nonzero ``int`` numerators grouped by anti-diagonal, a map from the total
+degree ``T = deg_x + deg_z`` to a map ``{deg_z: numerator}``.  No inner map
+is empty and every ``deg_z`` lies in ``0..T``.  The zero polynomial is the
+empty map over ``den == 1``.  That pair is unique for each polynomial, so
+structural equality is polynomial equality and no normalization is ever
+deferred.  Instances are immutable after construction, inner maps included
+(results may share them with their operands), and safe to share across
+threads.
 
+The anti-diagonals are what the diagonal substitution z -> x collapses to
+one term each, so :meth:`BiPoly.diagonal` is one sum per total degree.
 Addition, subtraction, partial derivatives, the diagonal substitution and
 evaluation all work on the integer numerators, over the least common
 multiple of the operands' denominators, and reduce each result once by one
@@ -18,8 +23,10 @@ the API edge: construction, :meth:`BiPoly.coefficient` and
 :meth:`BiPoly.terms`.
 
 Canonical term order, used for iteration and rendering: ascending total
-degree, ties broken by ascending z-degree.  For two variables this is a
-total order on exponent pairs, so output is deterministic.
+degree, ties broken by ascending z-degree, that is, the anti-diagonals in
+ascending order, each in ascending z-degree.  For two variables this is a
+total order on exponent pairs, so output is deterministic.  The order is
+sorted out of the small integer keys at each walk; nothing caches it.
 
 Degrees must be non-negative ``int`` (checked by
 ``rationals._check_order``), and coefficients, scalar operands and
@@ -39,7 +46,7 @@ __all__ = ["BiPoly"]
 
 MonomialKey = tuple[int, int]
 CoefficientLike = Union[int, Rational]
-_Numerators = dict[MonomialKey, int]
+_Diagonals = dict[int, dict[int, int]]  # total degree -> {deg_z: numerator}
 
 
 def _as_rational(value: CoefficientLike, what: str) -> Rational:
@@ -71,7 +78,7 @@ class BiPoly:
     :meth:`diagonal`.  The zero polynomial is ``BiPoly()``.
     """
 
-    __slots__ = ("_den", "_nums", "_sorted")
+    __slots__ = ("_den", "_diags")
 
     def __init__(
         self,
@@ -79,15 +86,14 @@ class BiPoly:
         | Iterable[tuple[MonomialKey, CoefficientLike]] = (),
     ):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        fractions: list[tuple[MonomialKey, int, int]] = []
+        fractions: list[tuple[int, int, int, int]] = []
         for (deg_x, deg_z), coeff in items:
             _check_order(deg_x, "deg_x")
             _check_order(deg_z, "deg_z")
             value = _as_rational(coeff, "coefficient")
-            fractions.append(((deg_x, deg_z), value.numerator, value.denominator))
+            fractions.append((deg_x, deg_z, value.numerator, value.denominator))
         poly = _from_fractions(fractions)
-        self._den, self._nums = poly._den, poly._nums
-        self._sorted: list[MonomialKey] | None = None
+        self._den, self._diags = poly._den, poly._diags
 
     # -- constructors ------------------------------------------------------
 
@@ -102,30 +108,28 @@ class BiPoly:
     # -- inspection --------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self._nums)
+        return bool(self._diags)
 
     def coefficient(self, deg_x: int, deg_z: int) -> Rational:
         """Coefficient of x^deg_x z^deg_z, zero if the monomial is absent."""
         _check_order(deg_x, "deg_x")
         _check_order(deg_z, "deg_z")
-        return Rational(self._nums.get((deg_x, deg_z), 0), self._den)
-
-    def _keys(self) -> list[MonomialKey]:
-        if self._sorted is None:
-            self._sorted = sorted(self._nums, key=lambda k: (k[0] + k[1], k[1]))
-        return self._sorted
+        row = self._diags.get(deg_x + deg_z, {})
+        return Rational(row.get(deg_z, 0), self._den)
 
     def terms(self) -> Iterator[tuple[int, int, Rational]]:
         """Yield (deg_x, deg_z, coefficient) triples in canonical order."""
-        den, nums = self._den, self._nums
-        for key in self._keys():
-            yield key[0], key[1], Rational(nums[key], den)
+        den, diags = self._den, self._diags
+        for total in sorted(diags):
+            row = diags[total]
+            for dz in sorted(row):
+                yield total - dz, dz, Rational(row[dz], den)
 
     def degree_x(self) -> int:
-        return max((dx for dx, _ in self._nums), default=-1)
+        return max((total - min(row) for total, row in self._diags.items()), default=-1)
 
     def degree_z(self) -> int:
-        return max((dz for _, dz in self._nums), default=-1)
+        return max((max(row) for row in self._diags.values()), default=-1)
 
     # -- addition and subtraction ------------------------------------------
 
@@ -140,12 +144,24 @@ class BiPoly:
     # -- calculus and substitution ----------------------------------------
 
     def diff(self, var: str) -> BiPoly:
-        """Exact partial derivative with respect to ``"x"`` or ``"z"``."""
-        items = self._nums.items()
+        """Exact partial derivative with respect to ``"x"`` or ``"z"``.
+
+        Each term x^(T-j) z^j moves down one anti-diagonal, to T - 1: by x
+        it keeps its z-degree j and gains the factor T - j, by z it goes to
+        z-degree j - 1 and gains the factor j."""
+        items = self._diags.items()
         if var == "x":
-            return _from_ints(self._den, {(dx - 1, dz): n * dx for (dx, dz), n in items if dx})
+            return _from_ints(self._den, {
+                total - 1: row
+                for total, old in items
+                if (row := {dz: n * (total - dz) for dz, n in old.items() if dz != total})
+            })
         if var == "z":
-            return _from_ints(self._den, {(dx, dz - 1): n * dz for (dx, dz), n in items if dz})
+            return _from_ints(self._den, {
+                total - 1: row
+                for total, old in items
+                if (row := {dz - 1: n * dz for dz, n in old.items() if dz})
+            })
         raise ValueError(f"var must be 'x' or 'z', got {var!r}")
 
     def __call__(self, x_val: CoefficientLike, z_val: CoefficientLike) -> Rational:
@@ -160,25 +176,23 @@ class BiPoly:
         """
         x_val = _as_rational(x_val, "x")
         z_val = _as_rational(z_val, "z")
-        if not self._nums:
+        if not self._diags:
             return Rational(0)
         x_pow = _scaled_powers(x_val, self.degree_x())
         z_pow = _scaled_powers(z_val, self.degree_z())
         rows = [0] * len(x_pow)
-        for (dx, dz), num in self._nums.items():
-            rows[dx] += num * z_pow[dz]
+        for total, row in self._diags.items():
+            for dz, num in row.items():
+                rows[total - dz] += num * z_pow[dz]
         total = sum(row * xp for row, xp in zip(rows, x_pow))
         return Rational(total, self._den * x_pow[0] * z_pow[0])
 
     def diagonal(self) -> BiPoly:
-        """Substitute z = x: every term (i, j) collapses to degree i + j in x.
-
-        The numerators are added as integers over the one denominator.
-        """
-        sums: dict[int, int] = {}
-        for (dx, dz), num in self._nums.items():
-            sums[dx + dz] = sums.get(dx + dz, 0) + num
-        return _from_ints(self._den, {(k, 0): n for k, n in sums.items() if n})
+        """Substitute z = x: the anti-diagonal of total degree T collapses
+        to the one term x^T, its numerators added over the one denominator."""
+        return _from_ints(self._den, {
+            total: {0: num} for total, row in self._diags.items() if (num := sum(row.values()))
+        })
 
     # -- comparison and display -------------------------------------------
 
@@ -186,13 +200,16 @@ class BiPoly:
         other = _lift(other)
         if other is NotImplemented:
             return other
-        return self._den == other._den and self._nums == other._nums
+        return self._den == other._den and self._diags == other._diags
 
     def __hash__(self) -> int:
-        if not self._nums or (len(self._nums) == 1 and (0, 0) in self._nums):
+        diags = self._diags
+        if not diags or (len(diags) == 1 and 0 in diags):
             # Constants hash like their scalar value, consistent with __eq__.
             return hash(self.coefficient(0, 0))
-        return hash((self._den, frozenset(self._nums.items())))
+        return hash((self._den, frozenset(
+            (total, dz, n) for total, row in diags.items() for dz, n in row.items()
+        )))
 
     def __str__(self) -> str:
         return _format_terms(self, "{}/{}", "{}^{}")
@@ -201,43 +218,67 @@ class BiPoly:
         return f"BiPoly({str(self)!r})"
 
 
-def _from_ints(den: int, nums: _Numerators) -> BiPoly:
-    """The polynomial with zero-free integer numerators ``nums`` over
-    ``den > 0``, both divided by their gcd once."""
+def _from_ints(den: int, diags: _Diagonals) -> BiPoly:
+    """The polynomial with numerators ``diags``, in the layout of the module
+    docstring, over ``den > 0``, both divided by their gcd once."""
     if den != 1:
-        g = gcd(den, *nums.values())
+        g = den
+        for row in diags.values():
+            g = gcd(g, *row.values())
+            if g == 1:
+                break
         if g != 1:
             den //= g
-            nums = {key: n // g for key, n in nums.items()}
+            diags = {total: {dz: n // g for dz, n in row.items()} for total, row in diags.items()}
     poly = BiPoly.__new__(BiPoly)
     poly._den = den
-    poly._nums = nums
-    poly._sorted = None
+    poly._diags = diags
     return poly
 
 
-def _from_fractions(terms: list[tuple[MonomialKey, int, int]]) -> BiPoly:
-    """The sum of ``(monomial, numerator, denominator)`` triples, with
+def _from_fractions(terms: list[tuple[int, int, int, int]]) -> BiPoly:
+    """The sum of ``(deg_x, deg_z, numerator, denominator)`` terms, with
     positive denominators, added over the lcm of the denominators."""
-    den = lcm(*(d for _, _, d in terms))
-    sums: _Numerators = {}
-    for key, n, d in terms:
-        sums[key] = sums.get(key, 0) + n * (den // d)
-    return _from_ints(den, {key: n for key, n in sums.items() if n})
+    den = lcm(*(d for _, _, _, d in terms))
+    sums: _Diagonals = {}
+    for deg_x, deg_z, n, d in terms:
+        row = sums.setdefault(deg_x + deg_z, {})
+        row[deg_z] = row.get(deg_z, 0) + n * (den // d)
+    return _from_ints(den, {
+        total: row for total, old in sums.items() if (row := {dz: n for dz, n in old.items() if n})
+    })
 
 
 def _add(a: BiPoly, b: BiPoly, sign: int) -> BiPoly:
-    """``a + sign * b`` over the lcm of the two denominators."""
+    """``a + sign * b`` over the lcm of the two denominators, one
+    anti-diagonal at a time; a row only one operand has is taken over as
+    it is when its scale is 1."""
     den = lcm(a._den, b._den)
     scale_a, scale_b = den // a._den, sign * (den // b._den)
-    nums = dict(a._nums) if scale_a == 1 else {k: n * scale_a for k, n in a._nums.items()}
-    for key, n in b._nums.items():
-        total = nums.get(key, 0) + n * scale_b
-        if total:
-            nums[key] = total
-        else:  # n * scale_b is nonzero, so the key was present
-            del nums[key]
-    return _from_ints(den, nums)
+    if scale_a == 1:
+        diags = dict(a._diags)
+    else:
+        diags = {total: {dz: n * scale_a for dz, n in row.items()}
+                 for total, row in a._diags.items()}
+    for total, row_b in b._diags.items():
+        if scale_b != 1:
+            row_b = {dz: n * scale_b for dz, n in row_b.items()}
+        row = diags.get(total)
+        if row is None:
+            diags[total] = row_b
+            continue
+        row = dict(row) if scale_a == 1 else row  # never write into a's rows
+        for dz, n in row_b.items():
+            n += row.get(dz, 0)
+            if n:
+                row[dz] = n
+            else:  # the term of b was nonzero, so dz was present
+                del row[dz]
+        if row:
+            diags[total] = row
+        else:
+            del diags[total]
+    return _from_ints(den, diags)
 
 
 def _scaled_powers(value: Rational, degree: int) -> list[int]:
@@ -250,14 +291,16 @@ def _scaled_powers(value: Rational, degree: int) -> list[int]:
 def _reduced_terms(poly: BiPoly) -> Iterator[tuple[int, int, int, int]]:
     """Yield (deg_x, deg_z, numerator, denominator) in canonical order, each
     coefficient in lowest terms with a positive denominator."""
-    den, nums = poly._den, poly._nums
-    for key in poly._keys():
-        num = nums[key]
-        g = gcd(num, den)
-        if g == 1:
-            yield key[0], key[1], num, den
-        else:
-            yield key[0], key[1], num // g, den // g
+    den, diags = poly._den, poly._diags
+    for total in sorted(diags):
+        row = diags[total]
+        for dz in sorted(row):
+            num = row[dz]
+            g = gcd(num, den)
+            if g == 1:
+                yield total - dz, dz, num, den
+            else:
+                yield total - dz, dz, num // g, den // g
 
 
 def _format_terms(poly: BiPoly, fraction: str, power: str) -> str:

@@ -22,7 +22,9 @@ parse error (a number is an optional sign and the ASCII digits, ``a/b`` for
 well-formed number with more digits than the interpreter reads is named as
 such, not echoed) or any value to be printed with more digits than it prints
 (``sys.get_int_max_str_digits()``, 4300 by default; one ``error:`` line on
-stderr), 130 interrupted by Ctrl-C (SIGINT; ``interrupted`` is printed to
+stderr) or a write to stdout that failed other than by a closed pipe, as
+on a full disk (one ``error:`` line naming the OS error, no traceback), 130
+interrupted by Ctrl-C (SIGINT; ``interrupted`` is printed to
 stderr, with no traceback), 141 stdout was closed before the output was
 written (as in ``oddpower poly 64 | head``; nothing is printed to stderr).
 Orders above 64, and oracle ranges --max-n above 1000, are refused unless
@@ -47,25 +49,27 @@ EXIT_INTERRUPTED = 130  # 128 + SIGINT, what a shell reports for a program stopp
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer killed by the signal
 
 
-def _int(text: str) -> int:
-    """``int(text)`` for an optional sign and the ASCII digits only; ``int()``
-    alone also reads underscores, other scripts' digits and outer whitespace.
-    A number with more digits than ``int()`` reads is named, not echoed."""
-    digits = text[1:] if text[:1] in ("+", "-") else text
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(text)
+def _ints(*texts: str) -> list[int]:
+    """``int()`` of each text, for an optional sign and the ASCII digits only;
+    ``int()`` alone also reads underscores, other scripts' digits and outer
+    whitespace.  Every text's shape is checked before any text's length, so
+    a number with more digits than ``int()`` reads is named, not echoed, and
+    only when every text is a number."""
+    digits = [text[1:] if text[:1] in ("+", "-") else text for text in texts]
+    if not all(part.isascii() and part.isdigit() for part in digits):
+        raise ValueError(texts)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    if 0 < limit < len(digits):
+    if 0 < limit < max(map(len, digits)):
         raise argparse.ArgumentTypeError(
             f"the number has more than {limit} digits, the interpreter's limit for "
             "reading an integer (PYTHONINTMAXSTRDIGITS raises it)"
         )
-    return int(text)
+    return [int(text) for text in texts]
 
 
 def _nonneg_int(text: str) -> int:
     try:
-        value = _int(text)
+        (value,) = _ints(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid integer: {text!r}")
     if value < 0:
@@ -84,7 +88,7 @@ def _rational(text: str) -> Rational:
     # Accepts "a/b" or an integer; decimals are refused to preserve exactness.
     num, sep, den = text.partition("/")
     try:
-        value = Rational(_int(num)) if not sep else Rational(_int(num), _int(den))
+        value = Rational(*(_ints(num, den) if sep else _ints(num)))
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
             f"invalid rational {text!r}, expected an integer or a/b"
@@ -131,12 +135,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        return _run(argv)
+        code = _run(argv)
+        if sys.stdout is not None:  # None when the process was started without stdout
+            sys.stdout.flush()  # a failed write shows here, not in the interpreter's final flush
+        return code
     except BrokenPipeError:
         # The reader has gone away.  Point stdout at devnull so that the
         # interpreter's final flush does not report the same error again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _discard_stdout()
         return EXIT_BROKEN_PIPE
+    except OSError as exc:
+        # Any other failed write, such as a full disk: named, and not retried.
+        _discard_stdout()
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        return 2
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
@@ -150,6 +162,10 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
+
+
+def _discard_stdout() -> None:
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _attach_negative_points(argv: list[str]) -> list[str]:

@@ -75,7 +75,7 @@ def parse_poly(text: str) -> BiPoly:
     Like terms are combined and the result is in canonical sparse form, so
     parsing is a left inverse of plain rendering.
     """
-    terms: list[tuple[tuple[int, int], int, int]] = []  # (degrees, numerator, denominator)
+    terms: list[tuple[int, int, int, int]] = []  # (deg_x, deg_z, numerator, denominator)
     offset, end = 0, len(text)
     match_term = _TERM_RE.match
     try:
@@ -86,7 +86,7 @@ def parse_poly(text: str) -> BiPoly:
             if deg_x > MAX_DEGREE or deg_z > MAX_DEGREE:
                 break
             num = int(num) if num else 1
-            terms.append(((deg_x, deg_z), -num if sign == "-" else num, int(den) if den else 1))
+            terms.append((deg_x, deg_z, -num if sign == "-" else num, int(den) if den else 1))
             offset = match.end()
             if offset == end:
                 return _from_fractions(terms)

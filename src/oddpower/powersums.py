@@ -48,7 +48,7 @@ def power_sum(p: int) -> BiPoly:
         b = bernoulli(j)
         if b:
             num = comb(p + 1, j) * b.numerator
-            terms.append(((0, p + 1 - j), num, b.denominator * (p + 1)))
+            terms.append((0, p + 1 - j, num, b.denominator * (p + 1)))
     return _from_fractions(terms)
 
 
@@ -66,7 +66,8 @@ def combine_conv_sums(row: Sequence[int | Rational]) -> BiPoly:
     128, where the unreduced parts needed 97 and 186).  The row is then
     reduced by its content, so its denominator divides that of the result,
     and the rows are written over the lcm of those denominators, which is
-    already the reduced denominator of the result.
+    already the reduced denominator of the result, each numerator of x^i z^k
+    straight into the result's anti-diagonal i + k.
     """
     y = len(row) - 1
     entries = []  # (r, numerator, denominator) of each nonzero row[r]
@@ -83,24 +84,31 @@ def combine_conv_sums(row: Sequence[int | Rational]) -> BiPoly:
                 num = (-1 if (r - i) % 2 else 1) * a_num * comb(r, i)
                 den = a_den * ps._den
                 g = gcd(num, den)
-                parts.append((num // g, den // g, ps._nums))
+                parts.append((num // g, den // g, ps._diags))
         common = lcm(*(den for _, den, _ in parts))
         acc = [0] * (2 * y - i + 2)  # S_{2y-i} has degree 2y - i + 1
-        for num, den, nums in parts:
+        for num, den, sums in parts:
             factor = num * (common // den)
-            for (_, k), n in nums.items():
-                acc[k] += factor * n
+            for k, terms in sums.items():  # S_p holds z^k alone on its anti-diagonal k
+                acc[k] += factor * terms[k]
         g = gcd(common, *acc)
         if g != 1:
             common //= g
             acc = [t // g for t in acc]
         rows.append((i, common, acc))
     den = lcm(*(common for _, common, _ in rows))
-    nums: dict[tuple[int, int], int] = {}
+    diags: dict[int, dict[int, int]] = {}
     for i, common, acc in rows:
         scale = den // common
-        nums.update({(i, k): t * scale for k, t in enumerate(acc) if t})
-    return _from_ints(den, nums)
+        if scale != 1:
+            acc = [t * scale for t in acc]
+        for total, t in enumerate(acc, i):  # x^i z^k lies on the anti-diagonal i + k
+            if t:
+                if (terms := diags.get(total)) is None:
+                    diags[total] = {total - i: t}
+                else:
+                    terms[total - i] = t
+    return _from_ints(den, diags)
 
 
 @lru_cache(maxsize=None, typed=True)

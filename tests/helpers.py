@@ -13,7 +13,7 @@ direct builder replaced; the differential tests hold the two routes equal.
 ``Fraction``-per-term recurrences that the integer sums over one lcm in
 ``bernoulli`` and ``solve_coeffs`` replaced.
 ``power_sum_reference`` is the ``Fraction``-per-coefficient Faulhaber loop
-that the integer-triple ``power_sum`` replaced, and ``conv_sum_reference``
+that the integer-numerator ``power_sum`` replaced, and ``conv_sum_reference``
 the separate ``H_r`` expansion that the shared ``combine_conv_sums`` loop
 replaced.
 ``render_plain_reference`` and ``render_latex_reference`` are the two
@@ -39,11 +39,11 @@ from __future__ import annotations
 import json
 import random
 import re
-from math import comb
+from math import comb, gcd
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
-from oddpower.bipoly import BiPoly, _from_fractions
+from oddpower.bipoly import BiPoly
 from oddpower.coefficients import solve_coeffs
 from oddpower.parsing import MAX_DEGREE, PolyParseError, UnknownVariableError, parse_poly
 from oddpower.powersums import conv_sum, power_sum
@@ -206,13 +206,12 @@ def power_sum_reference(p: int) -> BiPoly:
 
 def conv_sum_reference(r: int) -> BiPoly:
     """H_r(x, z) = sum_{j=0..r} C(r, j) (-1)^j x^(r-j) S_{r+j}(z), written
-    as one integer triple per term of each power sum."""
+    as one scaled coefficient per term of each power sum."""
     terms = []
     for j in range(r + 1):
-        s = power_sum(r + j)
         factor = (-1 if j % 2 else 1) * comb(r, j)
-        terms.extend(((r - j, k), factor * n, s._den) for (_, k), n in s._nums.items())
-    return _from_fractions(terms)
+        terms.extend(((r - j, k), factor * c) for _, k, c in power_sum(r + j).terms())
+    return BiPoly(terms)
 
 
 def eval_reference(poly: BiPoly, x_val: int | Rational, z_val: int | Rational) -> Rational:
@@ -236,6 +235,20 @@ def eval_reference(poly: BiPoly, x_val: int | Rational, z_val: int | Rational) -
 def diagonal_reference(poly: BiPoly) -> BiPoly:
     """poly with z = x, accumulating the Fraction coefficients term by term."""
     return BiPoly([((dx + dz, 0), coeff) for dx, dz, coeff in poly.terms()])
+
+
+def assert_canonical_layout(poly: BiPoly) -> None:
+    """The one representation of ``poly``: integer numerators over one
+    reduced positive denominator, grouped by total degree T into maps
+    ``{deg_z: numerator}`` with no empty map, no zero numerator and
+    ``0 <= deg_z <= T``."""
+    den, diags = poly._den, poly._diags
+    assert type(den) is int and den > 0
+    for total, row in diags.items():
+        assert type(total) is int and row, f"empty anti-diagonal {total}"
+        assert all(type(dz) is int and 0 <= dz <= total for dz in row), (total, row)
+        assert all(type(n) is int and n for n in row.values()), (total, row)
+    assert gcd(den, *(n for row in diags.values() for n in row.values())) == 1
 
 
 def _collect(pairs: Iterable[tuple[tuple[int, int], Rational]], out: dict | None = None) -> dict:

@@ -1,5 +1,6 @@
 """Sparse bivariate polynomials: addition, calculus, canonical form."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from helpers import (
     F2,
     SUM1,
     ReferenceBiPoly,
+    assert_canonical_layout,
     diagonal_reference,
     eval_reference,
     render_json_reference,
@@ -18,6 +20,7 @@ from helpers import (
     render_plain_reference,
 )
 from oddpower.bipoly import BiPoly
+from oddpower.parsing import MAX_DEGREE, parse_poly
 from oddpower.rationals import Rational
 from oddpower.rendering import render
 
@@ -323,6 +326,7 @@ HALF_X = {(1, 0): Rational(1, 2)}
 
 
 def assert_same(new: BiPoly, ref: ReferenceBiPoly) -> None:
+    assert_canonical_layout(new)
     assert list(new.terms()) == list(ref.terms())
     assert all(type(c) is Fraction for _, _, c in new.terms())
     # Equal to, and hashed like, the polynomial built afresh from the same
@@ -335,6 +339,8 @@ def assert_same(new: BiPoly, ref: ReferenceBiPoly) -> None:
 @example(a=HALF_X, b=HALF_X, s=Rational(2))  # the sum's denominator drops to 1
 @example(a={(1, 0): Rational(1, 3), (0, 0): 2}, b={(1, 0): Rational(-1, 3), (0, 0): -2}, s=1)
 @example(a={(1, 0): Rational(1, 3)}, b={(0, 1): Rational(2, 5), (1, 0): Rational(1, 7)}, s=Rational(5, 11))
+@example(a={(1, 1): 1}, b={(1, 1): 1}, s=0)  # x z - x z: anti-diagonal 2 cancels
+@example(a={(1, 0): 1}, b={(1, 0): -1}, s=0)  # x + (-x): anti-diagonal 1 cancels
 @given(a=term_maps, b=term_maps, s=scalars)
 def test_ring_operations_match_reference(a, b, s):
     p, q = BiPoly(a), BiPoly(b)
@@ -349,6 +355,9 @@ def test_ring_operations_match_reference(a, b, s):
 @example(a={})
 @example(a=HALF_X)
 @example(a={(2, 1): Rational(1, 6), (1, 2): Rational(-1, 6), (3, 0): Rational(5, 4)})
+@example(a={(1, 0): 1, (0, 1): -1})  # (x - z).diagonal() is zero
+@example(a={(0, 2): 3, (0, 1): Rational(1, 2)})  # diff("x") of a z-only polynomial is zero
+@example(a={(2, 0): 3, (1, 0): Rational(1, 2)})  # diff("z") of an x-only polynomial is zero
 @given(a=term_maps)
 def test_calculus_matches_reference(a):
     p, rp = BiPoly(a), ReferenceBiPoly(a)
@@ -400,3 +409,28 @@ def test_renders_match_reference(a):
     assert render(p, "plain") == render_plain_reference(rp)
     assert render(p, "latex") == render_latex_reference(rp)
     assert render(p, "json") == render_json_reference(rp)
+
+
+# -- memory -----------------------------------------------------------------
+
+
+def test_sparse_terms_of_high_degree_stay_sparse():
+    # 2,025 terms x^a z^b with a and b within 44 of MAX_DEGREE lie on 89
+    # anti-diagonals of total degree near 20,000.  A layout with one dense row
+    # per degree would hold about 1.8 million slots; the sparse maps hold only
+    # the terms.  Parsing, diff("x"), diagonal() and str() peaked at 2.02 MB
+    # with the numerators keyed by exponent pairs (Python 3.11.7).
+    degrees = range(MAX_DEGREE - 44, MAX_DEGREE + 1)
+    text = " + ".join(f"{(a + b) % 9 + 1} x^{a} z^{b}" for a in degrees for b in degrees)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        poly = parse_poly(text)
+        poly.diff("x")
+        poly.diagonal()
+        str(poly)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2_020_000

@@ -1,5 +1,6 @@
 """Command line behavior: output bytes, exit codes, guard rails."""
 
+import errno
 import importlib
 import json
 import os
@@ -184,6 +185,28 @@ def test_eval_point_past_the_digit_limit_is_a_usage_error(capsys, point):
     assert err.startswith("usage: ") and err.count("\n") == 2
     assert f"error: argument --at: the number has more than {DIGIT_LIMIT} digits" in err
     assert "invalid rational" not in err and len(err) < 300
+
+
+@pytest.mark.skipif(DIGIT_LIMIT == 0, reason="needs a digit limit")
+@pytest.mark.parametrize(
+    ("point", "reason"),
+    [
+        ("9" * (DIGIT_LIMIT + 700) + "/x", "invalid rational"),
+        ("x/" + "9" * (DIGIT_LIMIT + 700), "invalid rational"),
+        ("9" * (DIGIT_LIMIT + 700) + "/7", f"the number has more than {DIGIT_LIMIT} digits"),
+        ("7/" + "9" * (DIGIT_LIMIT + 700), f"the number has more than {DIGIT_LIMIT} digits"),
+    ],
+    ids=["long-numerator-bad-denominator", "bad-numerator-long-denominator",
+         "long-numerator", "long-denominator"],
+)
+def test_point_shape_is_checked_before_its_length(capsys, point, reason):
+    # Either part of a/b that is not a number makes the point invalid, however
+    # long the other part: the digit limit is named only for a real number.
+    code, out, err = run(capsys, "eval", "1", "--at", point)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: ") and err.count("\n") == 2
+    assert f"error: argument --at: {reason}" in err
+    assert ("digits" in err) == ("digits" in reason)
 
 
 @pytest.mark.skipif(DIGIT_LIMIT == 0, reason="needs a digit limit")
@@ -503,6 +526,30 @@ def test_closed_stdout_exits_quietly():
         stderr = proc.stderr.read()
         assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
     assert stderr == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--max-y", "3"], ["poly", "5"], ["poly", "64"]],
+    ids=["verify", "poly", "poly-64"],
+)
+def test_failed_write_is_named_and_exits_two(argv):
+    # Every write to /dev/full fails with ENOSPC: one error line, no
+    # traceback, and no second report from the interpreter's final flush.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "oddpower.cli", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write the output: ")
+    assert proc.stderr.count("\n") == 1 and f"[Errno {errno.ENOSPC}]" in proc.stderr
 
 
 # -- installed entry point ------------------------------------------------

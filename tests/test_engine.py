@@ -1,7 +1,6 @@
 """Family construction and the symbolic derivative identity."""
 
 import random
-from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +11,7 @@ from helpers import (
     F2,
     F3,
     ReferenceBiPoly,
+    assert_canonical_layout,
     build_poly_from_conv_sums,
     diagonal_reference,
     eval_reference,
@@ -172,13 +172,6 @@ def test_derivative_check_matches_reference_layout():
         assert list(check_derivative_identity(y).residual.terms()) == list(ref_residual.terms()), y
 
 
-def assert_one_reduced_denominator(poly: BiPoly) -> None:
-    den, nums = poly._den, poly._nums
-    assert type(den) is int and den > 0
-    assert all(type(n) is int and n for n in nums.values())
-    assert gcd(den, *nums.values()) == 1
-
-
 def test_one_reduced_denominator_after_every_operation():
     for y in range(21):
         f = build_poly(y)
@@ -203,7 +196,7 @@ def test_one_reduced_denominator_after_every_operation():
             power_sum(2 * y),
         ]
         for poly in results:
-            assert_one_reduced_denominator(poly)
+            assert_canonical_layout(poly)
     assert (build_poly(5) - build_poly(5))._den == 1
 
 
