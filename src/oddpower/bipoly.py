@@ -17,10 +17,11 @@ one term each, so :meth:`BiPoly.diagonal` is one sum per total degree.
 Addition, subtraction, partial derivatives, the diagonal substitution and
 evaluation all work on the integer numerators, over the least common
 multiple of the operands' denominators, and reduce each result once by one
-gcd.  There is no product: the family is assembled from integer rows in
-``powersums.combine_conv_sums``.  ``Rational`` coefficients appear only at
-the API edge: construction, :meth:`BiPoly.coefficient` and
-:meth:`BiPoly.terms`.
+gcd.  There is no product: ``powersums.combine_conv_sums`` assembles the
+family as one integer row per x-degree, and :func:`_from_rows` is the one
+place such rows become a ``BiPoly``, so no other module reads the layout.
+``Rational`` coefficients appear only at the API edge: construction,
+:meth:`BiPoly.coefficient` and :meth:`BiPoly.terms`.
 
 Canonical term order, used for iteration and rendering: ascending total
 degree, ties broken by ascending z-degree, that is, the anti-diagonals in
@@ -247,6 +248,22 @@ def _from_fractions(terms: list[tuple[int, int, int, int]]) -> BiPoly:
     return _from_ints(den, {
         total: row for total, old in sums.items() if (row := {dz: n for dz, n in old.items() if n})
     })
+
+
+def _from_rows(rows: list[tuple[int, int, list[int]]]) -> BiPoly:
+    """The polynomial sum_i x^i * sum_k (nums[k] / den) z^k over the
+    ``(i, den, nums)`` rows, one per x-degree ``i``, each ``den > 0`` and
+    each row reduced by its content.  The rows are written over the lcm of
+    their denominators, which is then already the reduced denominator, each
+    numerator of x^i z^k straight into the anti-diagonal i + k."""
+    den = lcm(*(d for _, d, _ in rows))
+    diags: _Diagonals = {}
+    for i, d, nums in rows:
+        scale = den // d
+        for total, n in enumerate(nums, i):
+            if n:
+                diags.setdefault(total, {})[total - i] = n * scale
+    return _from_ints(den, diags)
 
 
 def _add(a: BiPoly, b: BiPoly, sign: int) -> BiPoly:

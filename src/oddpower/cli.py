@@ -18,12 +18,14 @@ caches, so its memory does not grow with --max-y.
 
 Exit codes: 0 success / all checks pass, 1 a verification failed, 2 usage or
 parse error (a number is an optional sign and the ASCII digits, ``a/b`` for
---at; other text is an invalid integer or rational, echoed back, and a
-well-formed number with more digits than the interpreter reads is named as
-such, not echoed) or any value to be printed with more digits than it prints
+--at; other text is an invalid integer or rational, echoed back, cut to its
+first 40 characters and its length when longer, and a well-formed number
+with more digits than the interpreter reads is named as such, not echoed)
+or any value to be printed with more digits than it prints
 (``sys.get_int_max_str_digits()``, 4300 by default; one ``error:`` line on
-stderr) or a write to stdout that failed other than by a closed pipe, as
-on a full disk (one ``error:`` line naming the OS error, no traceback), 130
+stderr, for ``eval`` before any polynomial work) or a write to stdout that
+failed other than by a closed pipe, as on a full disk (one ``error:`` line
+naming the OS error, no traceback), 130
 interrupted by Ctrl-C (SIGINT; ``interrupted`` is printed to
 stderr, with no traceback), 141 stdout was closed before the output was
 written (as in ``oddpower poly 64 | head``; nothing is printed to stderr).
@@ -67,20 +69,26 @@ def _ints(*texts: str) -> list[int]:
     return [int(text) for text in texts]
 
 
+def _echo(text: str) -> str:
+    """``repr(text)`` of an argument for an error message, cut to its first
+    40 characters with its full length named when it is longer."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def _nonneg_int(text: str) -> int:
     try:
         (value,) = _ints(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}")
+        raise argparse.ArgumentTypeError(f"invalid integer: {_echo(text)}")
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative: {text!r}")
+        raise argparse.ArgumentTypeError(f"must be non-negative: {_echo(text)}")
     return value
 
 
 def _positive_int(text: str) -> int:
     value = _nonneg_int(text)
     if value == 0:
-        raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+        raise argparse.ArgumentTypeError(f"must be positive: {_echo(text)}")
     return value
 
 
@@ -91,7 +99,7 @@ def _rational(text: str) -> Rational:
         value = Rational(*(_ints(num, den) if sep else _ints(num)))
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
-            f"invalid rational {text!r}, expected an integer or a/b"
+            f"invalid rational {_echo(text)}, expected an integer or a/b"
         )
     return value
 
@@ -223,10 +231,11 @@ def _run(argv: list[str] | None) -> int:
         return 0
 
     if args.command == "eval":
-        value = engine.eval_derivative_at(args.order, args.at)
         closed_form = (2 * args.order + 1) * args.at ** (2 * args.order)
+        text = str(closed_form)  # a value past the digit limit fails here, before the work
+        value = engine.eval_derivative_at(args.order, args.at)
         holds = value == closed_form
-        print(f"{value} = {closed_form}" if holds else f"{value} != {closed_form} MISMATCH")
+        print(f"{value} = {text}" if holds else f"{value} != {text} MISMATCH")
         return 0 if holds else 1
 
     if args.command == "verify":

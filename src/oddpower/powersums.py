@@ -1,19 +1,16 @@
 """Power sums and convolved power sums as exact polynomials.
 
 ``power_sum(p)`` is the polynomial in z that agrees with sum_{k=1..z} k^p at
-every non-negative integer z, obtained from Faulhaber's formula.  The
-convolved sum H_r(x, z) = sum_{k=1..z} k^r (x-k)^r extends to a polynomial
-in x and z by expanding (x-k)^r binomially and replacing each inner power
-sum with its Faulhaber polynomial.  ``combine_conv_sums(row)`` is the one
-place that expansion happens: it assembles sum_r row[r] * H_r(x, z) for any
-coefficient row, as one integer row of Faulhaber numerators per x-degree.
-Each part of a row (one row entry times one power sum) has its scalar
-reduced by the gcd of its numerator and denominator before its products, so
-the row adds its products over a small common denominator.  Each row is
-then reduced by its content (the gcd of its denominator and numerators),
-FLINT ``fmpq_poly`` style, and the rows are written over the lcm of their
-denominators, so no bivariate product is formed and no oversized
-denominator is carried to the end.
+every non-negative integer z, obtained from Faulhaber's formula.  It is
+univariate, so it is returned as one integer row over one denominator, in
+FLINT's ``fmpq_poly`` form, not as a ``BiPoly``.  The convolved sum
+H_r(x, z) = sum_{k=1..z} k^r (x-k)^r extends to a polynomial in x and z by
+expanding (x-k)^r binomially and replacing each inner power sum with its
+Faulhaber polynomial.  ``combine_conv_sums(row)`` is the one place that
+expansion happens: it assembles sum_r row[r] * H_r(x, z) for any
+coefficient row, as one integer row of Faulhaber numerators per x-degree,
+reduced by its content, and hands those rows to ``bipoly._from_rows``, the
+one place rows become a ``BiPoly``.  No bivariate product is formed.
 ``conv_sum(r)`` is the single H_r and the family builder
 ``engine.build_poly`` the combination with the solved row.  The polynomial
 reading is what gives these families meaning at non-integer arguments.
@@ -25,31 +22,34 @@ from functools import lru_cache
 from math import comb, gcd, lcm
 from typing import Sequence
 
-from .bipoly import BiPoly, _as_rational, _from_fractions, _from_ints
+from .bipoly import BiPoly, _as_rational, _from_rows
 from .rationals import Rational, _check_order, bernoulli
 
 __all__ = ["power_sum", "conv_sum", "combine_conv_sums"]
 
 
 @lru_cache(maxsize=None, typed=True)
-def power_sum(p: int) -> BiPoly:
-    """The sum of k^p for k = 1..z as a polynomial in z of degree p + 1.
+def power_sum(p: int) -> tuple[int, tuple[int, ...]]:
+    """The sum of k^p for k = 1..z as a polynomial in z of degree p + 1,
+    returned as ``(den, coeffs)``: ``coeffs[k] / den`` is the coefficient of
+    z^k for k = 0..p + 1, ``den > 0`` and ``gcd(den, *coeffs) == 1``.
 
     Faulhaber's formula with the B_1 = +1/2 convention:
 
         S_p(z) = (1/(p+1)) * sum_{j=0..p} C(p+1, j) * B_j * z^(p+1-j)
 
     The +1/2 convention makes the closed form inclusive of the upper bound z,
-    so S_p(n) really is 1^p + ... + n^p for integer n >= 1.
+    so S_p(n) really is 1^p + ... + n^p for integer n >= 1.  The terms are
+    written over (p + 1) times the lcm of the denominators of B_0..B_p, and
+    the row is then divided by its content.
     """
     _check_order(p, "p")
-    terms = []
-    for j in range(p + 1):
-        b = bernoulli(j)
-        if b:
-            num = comb(p + 1, j) * b.numerator
-            terms.append((0, p + 1 - j, num, b.denominator * (p + 1)))
-    return _from_fractions(terms)
+    bern = [bernoulli(j) for j in range(p + 1)]
+    common = lcm(*(b.denominator for b in bern))
+    nums = [comb(p + 1, j) * b.numerator * (common // b.denominator) for j, b in enumerate(bern)]
+    den = (p + 1) * common
+    g = gcd(den, *nums)
+    return den // g, (0, *(n // g for n in reversed(nums)))  # B_j goes with z^(p+1-j)
 
 
 def combine_conv_sums(row: Sequence[int | Rational]) -> BiPoly:
@@ -63,11 +63,8 @@ def combine_conv_sums(row: Sequence[int | Rational]) -> BiPoly:
     reduced by the gcd of its numerator and denominator before its products,
     so an x-degree row adds integer numerators over the small lcm of the
     reduced part denominators (at most 9 bits at order 64 and 11 at order
-    128, where the unreduced parts needed 97 and 186).  The row is then
-    reduced by its content, so its denominator divides that of the result,
-    and the rows are written over the lcm of those denominators, which is
-    already the reduced denominator of the result, each numerator of x^i z^k
-    straight into the result's anti-diagonal i + k.
+    128).  The row is then reduced by its content, and ``_from_rows``
+    writes the rows over the lcm of their denominators.
     """
     y = len(row) - 1
     entries = []  # (r, numerator, denominator) of each nonzero row[r]
@@ -80,35 +77,24 @@ def combine_conv_sums(row: Sequence[int | Rational]) -> BiPoly:
         parts = []
         for r, a_num, a_den in entries:
             if r >= i:
-                ps = power_sum(2 * r - i)
+                ps_den, coeffs = power_sum(2 * r - i)
                 num = (-1 if (r - i) % 2 else 1) * a_num * comb(r, i)
-                den = a_den * ps._den
+                den = a_den * ps_den
                 g = gcd(num, den)
-                parts.append((num // g, den // g, ps._diags))
+                parts.append((num // g, den // g, coeffs))
         common = lcm(*(den for _, den, _ in parts))
         acc = [0] * (2 * y - i + 2)  # S_{2y-i} has degree 2y - i + 1
-        for num, den, sums in parts:
+        for num, den, coeffs in parts:
             factor = num * (common // den)
-            for k, terms in sums.items():  # S_p holds z^k alone on its anti-diagonal k
-                acc[k] += factor * terms[k]
+            for k, c in enumerate(coeffs):
+                if c:
+                    acc[k] += factor * c
         g = gcd(common, *acc)
         if g != 1:
             common //= g
             acc = [t // g for t in acc]
         rows.append((i, common, acc))
-    den = lcm(*(common for _, common, _ in rows))
-    diags: dict[int, dict[int, int]] = {}
-    for i, common, acc in rows:
-        scale = den // common
-        if scale != 1:
-            acc = [t * scale for t in acc]
-        for total, t in enumerate(acc, i):  # x^i z^k lies on the anti-diagonal i + k
-            if t:
-                if (terms := diags.get(total)) is None:
-                    diags[total] = {total - i: t}
-                else:
-                    terms[total - i] = t
-    return _from_ints(den, diags)
+    return _from_rows(rows)
 
 
 @lru_cache(maxsize=None, typed=True)

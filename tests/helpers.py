@@ -13,9 +13,10 @@ direct builder replaced; the differential tests hold the two routes equal.
 ``Fraction``-per-term recurrences that the integer sums over one lcm in
 ``bernoulli`` and ``solve_coeffs`` replaced.
 ``power_sum_reference`` is the ``Fraction``-per-coefficient Faulhaber loop
-that the integer-numerator ``power_sum`` replaced, and ``conv_sum_reference``
-the separate ``H_r`` expansion that the shared ``combine_conv_sums`` loop
-replaced.
+that the integer row ``power_sum`` replaced, and ``conv_sum_reference`` the
+separate ``H_r`` expansion, from those reference power sums, that the shared
+``combine_conv_sums`` loop replaced.  ``row_poly`` wraps a ``power_sum`` row
+as a ``BiPoly`` in z, and ``assert_reduced_row`` checks the row's invariants.
 ``render_plain_reference`` and ``render_latex_reference`` are the two
 separate term-formatting loops that the shared formatter replaced.
 ``parse_poly_reference`` is the token-list parser that the one-pass
@@ -46,7 +47,7 @@ from typing import Iterable, Iterator, Mapping
 from oddpower.bipoly import BiPoly
 from oddpower.coefficients import solve_coeffs
 from oddpower.parsing import MAX_DEGREE, PolyParseError, UnknownVariableError, parse_poly
-from oddpower.powersums import conv_sum, power_sum
+from oddpower.powersums import conv_sum
 from oddpower.rationals import Rational, bernoulli
 
 CORPUS = Path(__file__).resolve().parent / "reference_fixtures.txt"
@@ -206,12 +207,29 @@ def power_sum_reference(p: int) -> BiPoly:
 
 def conv_sum_reference(r: int) -> BiPoly:
     """H_r(x, z) = sum_{j=0..r} C(r, j) (-1)^j x^(r-j) S_{r+j}(z), written
-    as one scaled coefficient per term of each power sum."""
+    as one scaled coefficient per term of each reference power sum."""
     terms = []
     for j in range(r + 1):
         factor = (-1 if j % 2 else 1) * comb(r, j)
-        terms.extend(((r - j, k), factor * c) for _, k, c in power_sum(r + j).terms())
+        terms.extend(((r - j, k), factor * c) for _, k, c in power_sum_reference(r + j).terms())
     return BiPoly(terms)
+
+
+def row_poly(row: tuple[int, tuple[int, ...]]) -> BiPoly:
+    """The ``(den, coeffs)`` row of ``power_sum`` as a ``BiPoly`` in z."""
+    den, coeffs = row
+    return BiPoly({(0, k): Rational(c, den) for k, c in enumerate(coeffs) if c})
+
+
+def assert_reduced_row(row: tuple[int, tuple[int, ...]], length: int) -> None:
+    """The one representation of a ``power_sum`` row: a positive ``int``
+    denominator over a tuple of ``length`` ``int`` numerators, with no
+    common factor among them."""
+    den, coeffs = row
+    assert type(den) is int and den > 0
+    assert type(coeffs) is tuple and len(coeffs) == length
+    assert all(type(c) is int for c in coeffs)
+    assert gcd(den, *coeffs) == 1
 
 
 def eval_reference(poly: BiPoly, x_val: int | Rational, z_val: int | Rational) -> Rational:

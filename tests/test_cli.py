@@ -245,6 +245,42 @@ def test_long_text_that_is_not_a_number_is_invalid(capsys, argv, reason):
 
 
 @pytest.mark.skipif(DIGIT_LIMIT == 0, reason="needs a digit limit")
+def test_eval_checks_the_value_is_printable_before_the_work(capsys, monkeypatch):
+    # (2*64+1) u^128 for u = <600 nines>/7 has about 77,000 digits; the
+    # digit-limit exit comes before any polynomial work.
+    def unreached(y, u):
+        raise AssertionError("eval_derivative_at ran for an unprintable value")
+
+    monkeypatch.setattr(cli.engine, "eval_derivative_at", unreached)
+    code, out, err = run(capsys, "eval", "64", "--at", "9" * 600 + "/7")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{DIGIT_LIMIT} digits" in err
+
+
+@pytest.mark.parametrize(
+    ("argv", "echo"),
+    [
+        (
+            ["eval", "1", "--at", "9" * 5000 + "/x"],
+            "invalid rational '" + "9" * 40 + "'... (5002 characters), expected",
+        ),
+        (["coeffs", "9" * 5000 + "a"], "invalid integer: '" + "9" * 40 + "'... (5001 characters)\n"),
+        (["coeffs", "9" * 39 + "a"], "invalid integer: '" + "9" * 39 + "a'\n"),
+        (["eval", "1", "--at", "1/" + "x" * 38], "invalid rational '1/" + "x" * 38 + "', expected"),
+    ],
+    ids=["long-point", "long-order", "order-of-40", "point-of-40"],
+)
+def test_malformed_argument_echo_is_cut_short(capsys, argv, echo):
+    # A malformed argument is echoed up to 40 characters as it is, and past
+    # that as its first 40 characters and its length.
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: ") and err.count("\n") == 2
+    assert echo in err and len(err.encode()) < 400
+
+
+@pytest.mark.skipif(DIGIT_LIMIT == 0, reason="needs a digit limit")
 @pytest.mark.parametrize(
     "argv",
     [["coeffs", "200"], ["coeffs", "200", "--format", "json"], ["poly", "200"]],

@@ -6,46 +6,54 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import conv_sum_reference, power_sum_reference, scale, shift_z
+from helpers import (
+    assert_reduced_row,
+    conv_sum_reference,
+    power_sum_reference,
+    row_poly,
+    scale,
+    shift_z,
+)
 from oddpower.bipoly import BiPoly
 from oddpower.powersums import combine_conv_sums, conv_sum, power_sum
 from oddpower.rationals import Rational
 
 
 def test_small_power_sums():
-    half, third, quarter = Rational(1, 2), Rational(1, 3), Rational(1, 4)
-    assert power_sum(0) == BiPoly.monomial(0, 1)
-    assert power_sum(1) == BiPoly({(0, 2): half, (0, 1): half})
-    assert power_sum(2) == BiPoly({(0, 3): third, (0, 2): half, (0, 1): Rational(1, 6)})
-    assert power_sum(3) == BiPoly({(0, 4): quarter, (0, 3): half, (0, 2): quarter})
+    # (den, coeffs): coeffs[k] / den is the coefficient of z^k.
+    assert power_sum(0) == (1, (0, 1))  # z
+    assert power_sum(1) == (2, (0, 1, 1))  # z/2 + z^2/2
+    assert power_sum(2) == (6, (0, 1, 3, 2))  # z/6 + z^2/2 + z^3/3
+    assert power_sum(3) == (4, (0, 0, 1, 2, 1))  # z^2/4 + z^3/2 + z^4/4
 
 
 @pytest.mark.parametrize("p", range(11))
 def test_power_sum_matches_literal_sum(p):
-    poly = power_sum(p)
+    den, coeffs = power_sum(p)
     for n in range(31):
-        assert poly(0, n) == sum(k**p for k in range(1, n + 1))
+        assert sum(c * n**k for k, c in enumerate(coeffs)) == den * sum(k**p for k in range(1, n + 1))
 
 
 @pytest.mark.parametrize("p", range(16))
 def test_power_sum_boundary_values(p):
-    assert power_sum(p)(0, 0) == 0
-    assert power_sum(p)(0, 1) == 1
+    den, coeffs = power_sum(p)
+    assert coeffs[0] == 0  # S_p(0) = 0
+    assert sum(coeffs) == den  # S_p(1) = 1
 
 
 @pytest.mark.parametrize("p", range(16))
 def test_power_sum_telescopes(p):
     # S_p(z) - S_p(z - 1) == z^p as polynomials, not just at sample points.
-    assert power_sum(p) - shift_z(power_sum(p), -1) == BiPoly.monomial(0, p)
+    poly = row_poly(power_sum(p))
+    assert poly - shift_z(poly, -1) == BiPoly.monomial(0, p)
 
 
 @pytest.mark.parametrize("p", range(16))
 def test_power_sum_shape(p):
-    poly = power_sum(p)
-    assert poly.degree_x() == 0
-    assert poly.degree_z() == p + 1
-    coeffs = {(dx, dz): c for dx, dz, c in poly.terms()}
-    assert coeffs[(0, p + 1)] == Rational(1, p + 1)
+    row = power_sum(p)
+    assert_reduced_row(row, p + 2)
+    den, coeffs = row
+    assert Rational(coeffs[p + 1], den) == Rational(1, p + 1)
 
 
 def test_power_sum_rejects_negative():
@@ -55,7 +63,7 @@ def test_power_sum_rejects_negative():
 
 def test_power_sum_matches_reference_to_degree_200():
     for p in range(201):
-        assert power_sum(p) == power_sum_reference(p), p
+        assert row_poly(power_sum(p)) == power_sum_reference(p), p
 
 
 def test_shift_z_examples():

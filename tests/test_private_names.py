@@ -12,6 +12,10 @@ in a package module or a file under ``oddbench/``.  The few names and
 methods kept for library callers alone are listed in ``KEPT`` with the
 reason for each.
 
+Only ``bipoly.py`` knows how a ``BiPoly`` stores its numerators: no other
+package module reads the attribute ``_den`` or ``_diags`` or imports
+``_from_ints``, so a change of layout stays inside that one file.
+
 An AST walk cannot tell who reads an operator (``a * b`` reads the same on
 two ``int`` as on two ``BiPoly``), so the dunders of ``BiPoly`` are checked by
 a census at run time: every method of the class is wrapped to count its
@@ -100,6 +104,22 @@ def test_private_names_are_used():
     defined = [(module, name) for module, tree in trees.items() for name in _defined(tree)]
     assert defined, "no private names found; is the package path right?"
     assert [f"{module}:{name}" for module, name in defined if name not in used] == []
+
+
+LAYOUT_ATTRIBUTES = ("_den", "_diags")
+
+
+def test_only_bipoly_reads_the_layout():
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in LAYOUT_ATTRIBUTES:
+                readers.append(f"{path.name}:{node.lineno}: .{node.attr}")
+            elif isinstance(node, ast.alias) and node.name == "_from_ints":
+                readers.append(f"{path.name}:{node.lineno}: import _from_ints")
+    inside = [r for r in readers if r.startswith("bipoly.py:")]
+    assert inside, "no layout reads found; is the package path right?"
+    assert [r for r in readers if r not in inside] == []
 
 
 def _modules() -> list:
