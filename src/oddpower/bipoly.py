@@ -8,18 +8,21 @@ degree ``T = deg_x + deg_z`` to a map ``{deg_z: numerator}``.  No inner map
 is empty and every ``deg_z`` lies in ``0..T``.  The zero polynomial is the
 empty map over ``den == 1``.  That pair is unique for each polynomial, so
 structural equality is polynomial equality and no normalization is ever
-deferred.  Instances are immutable after construction, inner maps included
-(results may share them with their operands), and safe to share across
-threads.
+deferred.  Instances are immutable after construction, inner maps included,
+and safe to share across threads; no result shares an inner map with an
+operand.
 
 The anti-diagonals are what the diagonal substitution z -> x collapses to
-one term each, so :meth:`BiPoly.diagonal` is one sum per total degree.
-Addition, subtraction, partial derivatives, the diagonal substitution and
-evaluation all work on the integer numerators, over the least common
-multiple of the operands' denominators, and reduce each result once by one
-gcd.  There is no product: ``powersums.combine_conv_sums`` assembles the
-family as one integer row per x-degree, and :func:`_from_rows` is the one
-place such rows become a ``BiPoly``, so no other module reads the layout.
+one term each, so :meth:`BiPoly.diagonal` is one sum per total degree.  A
+partial derivative moves each anti-diagonal down by one, so
+:func:`_partial_sum` forms d/dx + d/dz in one pass.  ``+`` and ``-``
+hand the terms of both operands to :func:`_from_fractions`, the term sum of
+the constructor.  All of these and evaluation work on the integer
+numerators, over the least common multiple of the operands' denominators,
+and reduce each result once by one gcd.  There is no product:
+``powersums.combine_conv_sums`` assembles the family as one integer row per
+x-degree, and :func:`_from_rows` is the one place such rows become a
+``BiPoly``, so no other module reads the layout.
 ``Rational`` coefficients appear only at the API edge: construction,
 :meth:`BiPoly.coefficient` and :meth:`BiPoly.terms`.
 
@@ -173,20 +176,27 @@ class BiPoly:
 
             sum_i a^i b^(I-i) * sum_j N_ij * c^j d^(J-j)  /  (D * b^I * d^J),
 
-        summed on integers, one row per x-degree, and reduced once.
+        summed on integers, one row per x-degree, and reduced once.  The
+        powers are formed only for the degrees the terms hold; the tables
+        indexed by degree hold a zero elsewhere, so the cost follows the
+        terms, not the square of the degrees.
         """
         x_val = _as_rational(x_val, "x")
         z_val = _as_rational(z_val, "z")
-        if not self._diags:
+        diags = self._diags
+        if not diags:
             return Rational(0)
-        x_pow = _scaled_powers(x_val, self.degree_x())
-        z_pow = _scaled_powers(z_val, self.degree_z())
-        rows = [0] * len(x_pow)
-        for total, row in self._diags.items():
+        top_x, top_z = self.degree_x(), self.degree_z()
+        z_pow = [0] * (top_z + 1)
+        for j, power in _scaled_powers(z_val, sorted(set().union(*diags.values())), top_z):
+            z_pow[j] = power
+        rows = [0] * (top_x + 1)
+        for total, row in diags.items():
             for dz, num in row.items():
                 rows[total - dz] += num * z_pow[dz]
-        total = sum(row * xp for row, xp in zip(rows, x_pow))
-        return Rational(total, self._den * x_pow[0] * z_pow[0])
+        present = [i for i, row in enumerate(rows) if row]
+        value = sum(rows[i] * power for i, power in _scaled_powers(x_val, present, top_x))
+        return Rational(value, self._den * x_val.denominator**top_x * z_val.denominator**top_z)
 
     def diagonal(self) -> BiPoly:
         """Substitute z = x: the anti-diagonal of total degree T collapses
@@ -267,42 +277,43 @@ def _from_rows(rows: list[tuple[int, int, list[int]]]) -> BiPoly:
 
 
 def _add(a: BiPoly, b: BiPoly, sign: int) -> BiPoly:
-    """``a + sign * b`` over the lcm of the two denominators, one
-    anti-diagonal at a time; a row only one operand has is taken over as
-    it is when its scale is 1."""
-    den = lcm(a._den, b._den)
-    scale_a, scale_b = den // a._den, sign * (den // b._den)
-    if scale_a == 1:
-        diags = dict(a._diags)
-    else:
-        diags = {total: {dz: n * scale_a for dz, n in row.items()}
-                 for total, row in a._diags.items()}
-    for total, row_b in b._diags.items():
-        if scale_b != 1:
-            row_b = {dz: n * scale_b for dz, n in row_b.items()}
-        row = diags.get(total)
-        if row is None:
-            diags[total] = row_b
-            continue
-        row = dict(row) if scale_a == 1 else row  # never write into a's rows
-        for dz, n in row_b.items():
-            n += row.get(dz, 0)
-            if n:
-                row[dz] = n
-            else:  # the term of b was nonzero, so dz was present
-                del row[dz]
-        if row:
-            diags[total] = row
-        else:
-            del diags[total]
-    return _from_ints(den, diags)
+    """``a + sign * b``: the terms of both operands, ``b``'s numerators times
+    ``sign``, summed by :func:`_from_fractions` as the constructor sums its
+    terms, so the result shares no inner map with either operand."""
+    return _from_fractions([
+        (total - dz, dz, s * n, p._den)
+        for p, s in ((a, 1), (b, sign))
+        for total, row in p._diags.items()
+        for dz, n in row.items()
+    ])
 
 
-def _scaled_powers(value: Rational, degree: int) -> list[int]:
-    """``[a^i * b^(degree-i) for i in 0..degree]`` for ``value = a/b``: the
-    powers of ``value`` over the one denominator ``b^degree``."""
+def _partial_sum(poly: BiPoly) -> BiPoly:
+    """``poly.diff("x") + poly.diff("z")`` in one pass.  Anti-diagonal T
+    moves down to T - 1, where x^(T-1-j) z^j gets the numerator
+    (T - j) n(T, j) + (j + 1) n(T, j + 1), summed for each z-degree j of
+    the row and each one just below them, not for every j up to T."""
+    return _from_ints(poly._den, {
+        total - 1: row
+        for total, old in poly._diags.items()
+        if (row := {j: n for j in {*old, *(k - 1 for k in old if k)}
+                    if (n := (total - j) * old.get(j, 0) + (j + 1) * old.get(j + 1, 0))})
+    })
+
+
+def _scaled_powers(value: Rational, degrees: list[int], top: int) -> Iterator[tuple[int, int]]:
+    """``(i, a^i * b^(top-i))`` for ``value = a/b`` and each ``i`` of the
+    ascending ``degrees``, none above ``top``: the powers of ``value`` over
+    the one denominator ``b^top``.  Each is the one before times ``a^g`` and
+    divided exactly by ``b^g``, for the gap ``g`` between their degrees, so
+    a run of consecutive degrees costs one small product and one small
+    division per degree."""
     num, den = value.numerator, value.denominator
-    return [num**i * den ** (degree - i) for i in range(degree + 1)]
+    power, last = den**top, 0
+    for i in degrees:
+        power = power * num ** (i - last) // den ** (i - last)
+        last = i
+        yield i, power
 
 
 def _reduced_terms(poly: BiPoly) -> Iterator[tuple[int, int, int, int]]:
@@ -325,13 +336,17 @@ def _format_terms(poly: BiPoly, fraction: str, power: str) -> str:
     ``fraction`` (numerator, denominator) and ``power`` (variable, exponent)
     spell non-integer magnitudes and exponents above one.
 
-    Each power of x and of z is formatted once per call, into a table
-    indexed by the exponent with a leading space (``""``, ``" x"``,
-    ``" x^2"``, ...).  A term is then one ``str`` of its reduced numerator
-    from :func:`_reduced_terms`, its sign read off the digits, and one
+    Each power of x and of z that a term uses is formatted once per call
+    into a table keyed by the exponent with a leading space (``""``,
+    ``" x"``, ``" x^2"``, ...), so ``x^1000000`` spells one exponent, not a
+    million: the z-degrees are the keys of the rows, so their table is
+    filled from the union of those keys, and each x-degree on its first
+    use.  A term is then one ``str`` of its reduced numerator from
+    :func:`_reduced_terms`, its sign read off the digits, and one
     concatenation with the two table entries."""
-    xs = ["", " x"] + [" " + power.format("x", i) for i in range(2, poly.degree_x() + 1)]
-    zs = ["", " z"] + [" " + power.format("z", j) for j in range(2, poly.degree_z() + 1)]
+    xs = {0: "", 1: " x"}
+    zs = {j: " " + power.format("z", j) for j in set().union(*poly._diags.values())}
+    zs.update({0: "", 1: " z"})
     parts: list[str] = []
     append = parts.append
     for dx, dz, num, den in _reduced_terms(poly):
@@ -341,7 +356,10 @@ def _format_terms(poly: BiPoly, fraction: str, power: str) -> str:
             digits = digits[1:]
         else:
             append(" + ")
-        monomial = xs[dx] + zs[dz]
+        try:
+            monomial = xs[dx] + zs[dz]
+        except KeyError:  # the first term of this x-degree
+            monomial = xs.setdefault(dx, " " + power.format("x", dx)) + zs[dz]
         if den != 1:
             append(fraction.format(digits, den) + monomial)
         elif digits == "1" and monomial:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .bipoly import BiPoly
+from .bipoly import BiPoly, _partial_sum
 from .coefficients import solve_coeffs
 from .powersums import combine_conv_sums
 from .rationals import Rational
@@ -56,9 +56,9 @@ def build_poly(y: int) -> BiPoly:
 
 @lru_cache(maxsize=None, typed=True)
 def derivative_sum(y: int) -> BiPoly:
-    """Sum of the two partial derivatives of build_poly(y)."""
-    poly = build_poly(y)
-    return poly.diff("x") + poly.diff("z")
+    """Sum of the two partial derivatives of build_poly(y), formed in one
+    pass over its terms."""
+    return _partial_sum(build_poly(y))
 
 
 def check_diagonal(y: int) -> bool:

@@ -19,7 +19,8 @@ from helpers import (
     render_latex_reference,
     render_plain_reference,
 )
-from oddpower.bipoly import BiPoly
+from oddpower.bipoly import BiPoly, _partial_sum
+from oddpower.engine import build_poly, derivative_sum
 from oddpower.parsing import MAX_DEGREE, parse_poly
 from oddpower.rationals import Rational
 from oddpower.rendering import render
@@ -355,7 +356,10 @@ def test_ring_operations_match_reference(a, b, s):
 @example(a={})
 @example(a=HALF_X)
 @example(a={(2, 1): Rational(1, 6), (1, 2): Rational(-1, 6), (3, 0): Rational(5, 4)})
-@example(a={(1, 0): 1, (0, 1): -1})  # (x - z).diagonal() is zero
+@example(a={(1, 0): 1, (0, 1): -1})  # (x - z).diagonal() and its d/dx + d/dz are zero
+# (x - z)^2 + 3x/2: d/dx + d/dz cancels all of anti-diagonal 2, and the denominator 2 stays
+@example(a={(2, 0): 1, (1, 1): -2, (0, 2): 1, (1, 0): Rational(3, 2)})
+@example(a={(MAX_DEGREE, 0): Rational(1, 3), (2, MAX_DEGREE - 1): 5})  # sparse, near MAX_DEGREE
 @example(a={(0, 2): 3, (0, 1): Rational(1, 2)})  # diff("x") of a z-only polynomial is zero
 @example(a={(2, 0): 3, (1, 0): Rational(1, 2)})  # diff("z") of an x-only polynomial is zero
 @given(a=term_maps)
@@ -365,6 +369,30 @@ def test_calculus_matches_reference(a):
         assert_same(p.diff(var), rp.diff(var))
     assert_same(p.diagonal(), rp.diagonal())
     assert_same(p.diff("x") + p.diff("z"), rp.diff("x") + rp.diff("z"))
+    assert_same(_partial_sum(p), rp.diff("x") + rp.diff("z"))
+
+
+def _row_ids(poly: BiPoly) -> set[int]:
+    return {id(row) for row in poly._diags.values()}
+
+
+def test_results_share_no_inner_map_with_operands():
+    # Inner maps are never written after construction, but a result that
+    # reused an operand's row would still tie the two together.
+    f = build_poly(5)
+    fz = f.diff("z")
+    cases = [
+        (f + fz, (f, fz)),
+        (f - fz, (f, fz)),
+        (fz + f, (fz, f)),
+        (f + 1, (f,)),
+        (f.diff("x"), (f,)),
+        (fz, (f,)),
+        (f.diagonal(), (f,)),
+        (derivative_sum(5), (f,)),
+    ]
+    for result, operands in cases:
+        assert result and _row_ids(result).isdisjoint(set().union(*map(_row_ids, operands)))
 
 
 @example(a={}, u=0, v=0)
@@ -414,6 +442,39 @@ def test_renders_match_reference(a):
 # -- memory -----------------------------------------------------------------
 
 
+def _traced_peak(compute):
+    """``compute()`` and the peak of the memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = compute()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_evaluation_forms_only_the_powers_of_present_degrees():
+    # A table of every power up to degree 4000 would hold about 40 MB of
+    # integers of up to 40,000 bits and take seconds to build; the two
+    # terms' own powers take well under 1 MB.
+    u, v = Rational(999, 998), Rational(997, 996)
+    poly = parse_poly("x^4000 z^4000")
+    value, peak = _traced_peak(lambda: poly(u, v))
+    assert value == u**4000 * v**4000
+    assert peak <= 2 * 2**20
+
+
+def test_render_spells_only_the_exponents_used():
+    # Spelling every exponent up to the degree would take seconds and about
+    # 70 MB for this one term.
+    poly = BiPoly.monomial(1_000_000, 0)
+    for fmt, text in (("plain", "x^1000000"), ("latex", "x^{1000000}")):
+        rendered, peak = _traced_peak(lambda: render(poly, fmt))
+        assert rendered == text
+        assert peak <= 2 * 2**20
+
+
 def test_sparse_terms_of_high_degree_stay_sparse():
     # 2,025 terms x^a z^b with a and b within 44 of MAX_DEGREE lie on 89
     # anti-diagonals of total degree near 20,000.  A layout with one dense row
@@ -422,15 +483,12 @@ def test_sparse_terms_of_high_degree_stay_sparse():
     # with the numerators keyed by exponent pairs (Python 3.11.7).
     degrees = range(MAX_DEGREE - 44, MAX_DEGREE + 1)
     text = " + ".join(f"{(a + b) % 9 + 1} x^{a} z^{b}" for a in degrees for b in degrees)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
+
+    def compute():
         poly = parse_poly(text)
         poly.diff("x")
         poly.diagonal()
         str(poly)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+
+    _, peak = _traced_peak(compute)
     assert peak <= 4 * 2_020_000

@@ -120,7 +120,9 @@ def test_diagonal_sums_small_orders():
 
 
 def test_derivative_sum_is_partial_sum():
-    for y in range(6):
+    # The one-pass sum against the two partials added with +, the path it
+    # replaced, over every order within the CLI's soft limit.
+    for y in range(65):
         poly = build_poly(y)
         assert derivative_sum(y) == poly.diff("x") + poly.diff("z")
 

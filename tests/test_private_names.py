@@ -21,8 +21,11 @@ two ``int`` as on two ``BiPoly``), so the dunders of ``BiPoly`` are checked by
 a census at run time: every method of the class is wrapped to count its
 calls, then each CLI subcommand runs in each format, along with a ``verify``
 failure row and the calls of one ``roundtrip`` request of the benchmark.
-Every dunder must have run at least once, except those in ``DUNDERS_KEPT``,
-each with its reason.
+Every dunder must have run at least once, except the six in
+``DUNDERS_KEPT``, each with its reason.  ``__add__`` is one of them, since
+no subcommand adds two polynomials; its reason, that it is ``_add`` with
+sign +1 and ``-`` is the same ``_add`` with -1, is checked too: the census
+also wraps the module global ``bipoly._add`` and fails unless it ran.
 """
 
 import ast
@@ -34,6 +37,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import oddpower
+import oddpower.bipoly as bipoly
 import oddpower.engine as engine
 from oddpower.bipoly import BiPoly
 from oddpower.cli import main
@@ -51,6 +55,11 @@ KEPT = {
 
 DUNDERS_KEPT = {
     "__init__": "the constructor, BiPoly({...}), by which a library caller writes a polynomial",
+    "__add__": (
+        "the sum of two polynomials, for library callers and the tests' "
+        "build_poly_from_conv_sums; it is _add with sign +1, and -, which every verify row "
+        "runs, is the same _add with -1"
+    ),
     "__eq__": "polynomial equality; with scalars through _lift, so that BiPoly() == 0 is True",
     "__hash__": "required because __eq__ is defined, which would otherwise make BiPoly unhashable",
     "__str__": "the plain render, and how print() shows a polynomial",
@@ -211,6 +220,8 @@ def test_bipoly_dunders_run(monkeypatch):
         else:
             continue
         methods.append(name)
+    # __add__ and __sub__ look _add up as a module global at each call.
+    monkeypatch.setattr(bipoly, "_add", _counting(calls, "_add", bipoly._add))
     dunders = [name for name in methods if name.startswith("__") and name.endswith("__")]
     assert "__add__" in dunders and "diff" in methods, "no BiPoly methods wrapped"
     assert DUNDERS_KEPT.keys() <= set(dunders), "a DUNDERS_KEPT method is no longer defined"
@@ -239,3 +250,4 @@ def test_bipoly_dunders_run(monkeypatch):
 
     unrun = [name for name in dunders if not calls[name] and name not in DUNDERS_KEPT]
     assert unrun == [], f"BiPoly dunders that no subcommand or roundtrip call runs: {unrun}"
+    assert calls["_add"], "_add, which __add__ shares with __sub__, never ran"
