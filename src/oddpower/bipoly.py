@@ -179,22 +179,29 @@ class BiPoly:
         summed on integers, one row per x-degree, and reduced once.  The
         powers are formed only for the degrees the terms hold; the tables
         indexed by degree hold a zero elsewhere, so the cost follows the
-        terms, not the square of the degrees.
+        terms, not the square of the degrees.  J is the last of the sorted
+        z-degrees whose powers are formed, and I the last x-degree whose
+        row is nonzero: only those rows are summed, so no separate pass
+        over the terms finds the degrees.
         """
         x_val = _as_rational(x_val, "x")
         z_val = _as_rational(z_val, "z")
         diags = self._diags
         if not diags:
             return Rational(0)
-        top_x, top_z = self.degree_x(), self.degree_z()
+        z_degrees = sorted(set().union(*diags.values()))
+        top_z = z_degrees[-1]
         z_pow = [0] * (top_z + 1)
-        for j, power in _scaled_powers(z_val, sorted(set().union(*diags.values())), top_z):
+        for j, power in _scaled_powers(z_val, z_degrees, top_z):
             z_pow[j] = power
-        rows = [0] * (top_x + 1)
+        rows = [0] * (max(diags) + 1)
         for total, row in diags.items():
             for dz, num in row.items():
                 rows[total - dz] += num * z_pow[dz]
         present = [i for i, row in enumerate(rows) if row]
+        if not present:
+            return Rational(0)
+        top_x = present[-1]
         value = sum(rows[i] * power for i, power in _scaled_powers(x_val, present, top_x))
         return Rational(value, self._den * x_val.denominator**top_x * z_val.denominator**top_z)
 
@@ -336,38 +343,45 @@ def _format_terms(poly: BiPoly, fraction: str, power: str) -> str:
     ``fraction`` (numerator, denominator) and ``power`` (variable, exponent)
     spell non-integer magnitudes and exponents above one.
 
-    Each power of x and of z that a term uses is formatted once per call
-    into a table keyed by the exponent with a leading space (``""``,
-    ``" x"``, ``" x^2"``, ...), so ``x^1000000`` spells one exponent, not a
-    million: the z-degrees are the keys of the rows, so their table is
-    filled from the union of those keys, and each x-degree on its first
-    use.  A term is then one ``str`` of its reduced numerator from
-    :func:`_reduced_terms`, its sign read off the digits, and one
-    concatenation with the two table entries."""
+    One walk over the anti-diagonals, sorted degrees, then sorted z-degrees,
+    reads each numerator straight from the layout.  Each power of x and of z
+    that a term uses is formatted once per call into a table keyed by the
+    exponent with a leading space (``""``, ``" x"``, ``" x^2"``, ...), so
+    ``x^1000000`` spells one exponent, not a million: the z-degrees are the
+    keys of the rows, so their table is filled from the union of those keys,
+    and each x-degree on its first use.  A term's sign is read from its
+    numerator, whose magnitude is reduced by its gcd with the denominator
+    only when that denominator is not 1; the term is then one ``str`` of the
+    magnitude and one concatenation with the two table entries."""
+    den, diags = poly._den, poly._diags
     xs = {0: "", 1: " x"}
-    zs = {j: " " + power.format("z", j) for j in set().union(*poly._diags.values())}
+    zs = {j: " " + power.format("z", j) for j in set().union(*diags.values())}
     zs.update({0: "", 1: " z"})
     parts: list[str] = []
     append = parts.append
-    for dx, dz, num, den in _reduced_terms(poly):
-        digits = str(num)
-        if digits[0] == "-":
-            append(" - ")
-            digits = digits[1:]
-        else:
-            append(" + ")
-        try:
-            monomial = xs[dx] + zs[dz]
-        except KeyError:  # the first term of this x-degree
-            monomial = xs.setdefault(dx, " " + power.format("x", dx)) + zs[dz]
-        if den != 1:
-            append(fraction.format(digits, den) + monomial)
-        elif digits == "1" and monomial:
-            append(monomial[1:])
-        else:
-            append(digits + monomial)
+    for total in sorted(diags):
+        row = diags[total]
+        for dz in sorted(row):
+            num, dx = row[dz], total - dz
+            if num < 0:
+                append(" - ")
+                num = -num
+            else:
+                append(" + ")
+            try:
+                monomial = xs[dx] + zs[dz]
+            except KeyError:  # the first term of this x-degree
+                monomial = xs.setdefault(dx, " " + power.format("x", dx)) + zs[dz]
+            term_den = den
+            if den != 1 and (g := gcd(num, den)) != 1:
+                num, term_den = num // g, den // g
+            if term_den != 1:
+                append(fraction.format(num, term_den) + monomial)
+            elif num == 1 and monomial:
+                append(monomial[1:])
+            else:
+                append(f"{num}{monomial}")
     if not parts:
         return "0"
     parts[0] = "-" if parts[0] == " - " else ""
     return "".join(parts)
-

@@ -32,7 +32,8 @@ common-denominator ``BiPoly.__call__`` and ``BiPoly.diagonal`` replaced.
 integer-numerator ``BiPoly`` replaced, and ``render_json_reference`` the
 JSON term list written from its ``Fraction`` coefficients by ``json.dumps``.
 ``coeff_vector_json_reference`` is the ``json.dumps`` coefficient row that
-the f-string ``coeff_vector_json`` replaced.
+the f-string ``coeff_vector_json`` replaced.  ``traced_peak`` runs a
+computation under ``tracemalloc`` for the memory bounds.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import tracemalloc
 from math import comb, gcd
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
@@ -267,6 +269,18 @@ def assert_canonical_layout(poly: BiPoly) -> None:
         assert all(type(dz) is int and 0 <= dz <= total for dz in row), (total, row)
         assert all(type(n) is int and n for n in row.values()), (total, row)
     assert gcd(den, *(n for row in diags.values() for n in row.values())) == 1
+
+
+def traced_peak(compute):
+    """``compute()`` and the peak of the memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = compute()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def _collect(pairs: Iterable[tuple[tuple[int, int], Rational]], out: dict | None = None) -> dict:

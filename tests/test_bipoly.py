@@ -1,6 +1,5 @@
 """Sparse bivariate polynomials: addition, calculus, canonical form."""
 
-import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -18,6 +17,7 @@ from helpers import (
     render_json_reference,
     render_latex_reference,
     render_plain_reference,
+    traced_peak,
 )
 from oddpower.bipoly import BiPoly, _partial_sum
 from oddpower.engine import build_poly, derivative_sum
@@ -442,25 +442,13 @@ def test_renders_match_reference(a):
 # -- memory -----------------------------------------------------------------
 
 
-def _traced_peak(compute):
-    """``compute()`` and the peak of the memory it allocated, in bytes."""
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        result = compute()
-        return result, tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-
-
 def test_evaluation_forms_only_the_powers_of_present_degrees():
     # A table of every power up to degree 4000 would hold about 40 MB of
     # integers of up to 40,000 bits and take seconds to build; the two
     # terms' own powers take well under 1 MB.
     u, v = Rational(999, 998), Rational(997, 996)
     poly = parse_poly("x^4000 z^4000")
-    value, peak = _traced_peak(lambda: poly(u, v))
+    value, peak = traced_peak(lambda: poly(u, v))
     assert value == u**4000 * v**4000
     assert peak <= 2 * 2**20
 
@@ -470,7 +458,7 @@ def test_render_spells_only_the_exponents_used():
     # 70 MB for this one term.
     poly = BiPoly.monomial(1_000_000, 0)
     for fmt, text in (("plain", "x^1000000"), ("latex", "x^{1000000}")):
-        rendered, peak = _traced_peak(lambda: render(poly, fmt))
+        rendered, peak = traced_peak(lambda: render(poly, fmt))
         assert rendered == text
         assert peak <= 2 * 2**20
 
@@ -490,5 +478,5 @@ def test_sparse_terms_of_high_degree_stay_sparse():
         poly.diagonal()
         str(poly)
 
-    _, peak = _traced_peak(compute)
+    _, peak = traced_peak(compute)
     assert peak <= 4 * 2_020_000

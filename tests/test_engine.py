@@ -1,6 +1,7 @@
 """Family construction and the symbolic derivative identity."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from helpers import (
     build_poly_from_conv_sums,
     diagonal_reference,
     eval_reference,
+    traced_peak,
 )
 from oddpower.bipoly import BiPoly
 from oddpower.coefficients import solve_coeffs
@@ -142,8 +144,15 @@ def test_eval_matches_closed_form_over_grid():
 
 
 def test_eval_matches_reference_to_order_64():
-    # Seeded points u = p/q with 1 <= |p|, q <= 999; every eighth order also
-    # at an off-diagonal point (u, v).
+    # eval_derivative_at against the bivariate evaluation of the partial sum
+    # that it replaced, at every order to 64 at 0, +-1, an integer and a
+    # 300-digit rational, and at seeded points u = p/q with 1 <= |p|, q <= 999
+    # from order 24; every eighth order also at an off-diagonal point (u, v).
+    for y in range(65):
+        poly = derivative_sum(y)
+        for u in (0, 1, -1, -12345, Rational(10**299 + 1, 7)):
+            assert eval_derivative_at(y, u) == poly(u, u) == (2 * y + 1) * u ** (2 * y), (y, u)
+
     rng = random.Random(5)
 
     def point():
@@ -151,10 +160,27 @@ def test_eval_matches_reference_to_order_64():
 
     for y in range(24, 65):
         poly, u = derivative_sum(y), point()
-        assert poly(u, u) == eval_reference(poly, u, u) == (2 * y + 1) * u ** (2 * y), y
+        expected = (2 * y + 1) * u ** (2 * y)
+        assert eval_derivative_at(y, u) == poly(u, u) == eval_reference(poly, u, u) == expected, y
         if y % 8 == 0:
             v = point()
             assert poly(u, v) == eval_reference(poly, u, v), y
+
+
+def test_eval_reads_only_the_diagonal():
+    # derivative_sum(64)(u, u) sums 3,760 products of ~500-bit numerators by
+    # powers of u of up to ~430,000 bits: about 1 s and a 6.5 MiB peak.
+    # Its diagonal, one term, takes about 0.02 s and peaks at 0.24 MiB.
+    u = Rational(10**1000 - 1, 7)
+    derivative_sum(64)
+    start = time.perf_counter()
+    value = eval_derivative_at(64, u)
+    elapsed = time.perf_counter() - start
+    assert value == 129 * u**128
+    assert elapsed < 0.5
+    traced, peak = traced_peak(lambda: eval_derivative_at(64, u))
+    assert traced == value
+    assert peak <= 2**20
 
 
 def test_diagonal_matches_reference_to_order_64():

@@ -10,6 +10,7 @@ from helpers import (
     F1,
     SUM1,
     coeff_vector_json_reference,
+    render_json_reference,
     render_latex_reference,
     render_plain_reference,
 )
@@ -166,3 +167,4 @@ def test_family_renders_match_reference_formatters(y):
     for poly in (build_poly(y), derivative_sum(y)):
         assert render(poly, "plain") == render_plain_reference(poly)
         assert render(poly, "latex") == render_latex_reference(poly)
+        assert render(poly, "json") == render_json_reference(poly)
