@@ -179,29 +179,22 @@ class BiPoly:
         summed on integers, one row per x-degree, and reduced once.  The
         powers are formed only for the degrees the terms hold; the tables
         indexed by degree hold a zero elsewhere, so the cost follows the
-        terms, not the square of the degrees.  J is the last of the sorted
-        z-degrees whose powers are formed, and I the last x-degree whose
-        row is nonzero: only those rows are summed, so no separate pass
-        over the terms finds the degrees.
+        terms, not the square of the degrees.
         """
         x_val = _as_rational(x_val, "x")
         z_val = _as_rational(z_val, "z")
         diags = self._diags
         if not diags:
             return Rational(0)
-        z_degrees = sorted(set().union(*diags.values()))
-        top_z = z_degrees[-1]
+        top_x, top_z = self.degree_x(), self.degree_z()
         z_pow = [0] * (top_z + 1)
-        for j, power in _scaled_powers(z_val, z_degrees, top_z):
+        for j, power in _scaled_powers(z_val, sorted(set().union(*diags.values())), top_z):
             z_pow[j] = power
-        rows = [0] * (max(diags) + 1)
+        rows = [0] * (top_x + 1)
         for total, row in diags.items():
             for dz, num in row.items():
                 rows[total - dz] += num * z_pow[dz]
         present = [i for i, row in enumerate(rows) if row]
-        if not present:
-            return Rational(0)
-        top_x = present[-1]
         value = sum(rows[i] * power for i, power in _scaled_powers(x_val, present, top_x))
         return Rational(value, self._den * x_val.denominator**top_x * z_val.denominator**top_z)
 
@@ -325,14 +318,14 @@ def _scaled_powers(value: Rational, degrees: list[int], top: int) -> Iterator[tu
 
 def _reduced_terms(poly: BiPoly) -> Iterator[tuple[int, int, int, int]]:
     """Yield (deg_x, deg_z, numerator, denominator) in canonical order, each
-    coefficient in lowest terms with a positive denominator."""
+    coefficient in lowest terms with a positive denominator; over a
+    denominator of 1 no gcd is taken."""
     den, diags = poly._den, poly._diags
     for total in sorted(diags):
         row = diags[total]
         for dz in sorted(row):
             num = row[dz]
-            g = gcd(num, den)
-            if g == 1:
+            if den == 1 or (g := gcd(num, den)) == 1:
                 yield total - dz, dz, num, den
             else:
                 yield total - dz, dz, num // g, den // g
@@ -343,44 +336,35 @@ def _format_terms(poly: BiPoly, fraction: str, power: str) -> str:
     ``fraction`` (numerator, denominator) and ``power`` (variable, exponent)
     spell non-integer magnitudes and exponents above one.
 
-    One walk over the anti-diagonals, sorted degrees, then sorted z-degrees,
-    reads each numerator straight from the layout.  Each power of x and of z
-    that a term uses is formatted once per call into a table keyed by the
-    exponent with a leading space (``""``, ``" x"``, ``" x^2"``, ...), so
-    ``x^1000000`` spells one exponent, not a million: the z-degrees are the
-    keys of the rows, so their table is filled from the union of those keys,
-    and each x-degree on its first use.  A term's sign is read from its
-    numerator, whose magnitude is reduced by its gcd with the denominator
-    only when that denominator is not 1; the term is then one ``str`` of the
-    magnitude and one concatenation with the two table entries."""
-    den, diags = poly._den, poly._diags
+    Each power of x and of z that a term uses is formatted once per call
+    into a table keyed by the exponent with a leading space (``""``,
+    ``" x"``, ``" x^2"``, ...), so ``x^1000000`` spells one exponent, not a
+    million: the z-degrees are the keys of the rows, so their table is
+    filled from the union of those keys, and each x-degree on its first
+    use.  A term is then its sign, read from the reduced numerator that
+    :func:`_reduced_terms` yields, one ``str`` of that numerator's
+    magnitude, and one concatenation with the two table entries."""
     xs = {0: "", 1: " x"}
-    zs = {j: " " + power.format("z", j) for j in set().union(*diags.values())}
+    zs = {j: " " + power.format("z", j) for j in set().union(*poly._diags.values())}
     zs.update({0: "", 1: " z"})
     parts: list[str] = []
     append = parts.append
-    for total in sorted(diags):
-        row = diags[total]
-        for dz in sorted(row):
-            num, dx = row[dz], total - dz
-            if num < 0:
-                append(" - ")
-                num = -num
-            else:
-                append(" + ")
-            try:
-                monomial = xs[dx] + zs[dz]
-            except KeyError:  # the first term of this x-degree
-                monomial = xs.setdefault(dx, " " + power.format("x", dx)) + zs[dz]
-            term_den = den
-            if den != 1 and (g := gcd(num, den)) != 1:
-                num, term_den = num // g, den // g
-            if term_den != 1:
-                append(fraction.format(num, term_den) + monomial)
-            elif num == 1 and monomial:
-                append(monomial[1:])
-            else:
-                append(f"{num}{monomial}")
+    for dx, dz, num, den in _reduced_terms(poly):
+        if num < 0:
+            append(" - ")
+            num = -num
+        else:
+            append(" + ")
+        try:
+            monomial = xs[dx] + zs[dz]
+        except KeyError:  # the first term of this x-degree
+            monomial = xs.setdefault(dx, " " + power.format("x", dx)) + zs[dz]
+        if den != 1:
+            append(fraction.format(num, den) + monomial)
+        elif num == 1 and monomial:
+            append(monomial[1:])
+        else:
+            append(f"{num}{monomial}")
     if not parts:
         return "0"
     parts[0] = "-" if parts[0] == " - " else ""

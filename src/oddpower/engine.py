@@ -14,8 +14,7 @@ the assembly together.
 The same diagonal serves evaluation: P(u, u) = P(x, x) at x = u for any
 polynomial P, so ``eval_derivative_at(y, u)`` evaluates the diagonal of the
 partial sum, at most 2y + 1 sums and products, not the two-variable sum
-over its terms.  Over f_24..f_64 at seeded points that took 7-9 ms per
-batch against 54-88 ms (one pinned CPU of a shared 2-vCPU host).
+over its terms.
 """
 
 from __future__ import annotations
@@ -84,8 +83,6 @@ def eval_derivative_at(y: int, u: int | Rational) -> Rational:
 
     For any polynomial P, P(u, u) is the value at u of P(x, x), its
     diagonal, so only the one sum per total degree that ``diagonal()``
-    forms is evaluated, not every term of the partial sum: at y = 64 and
-    u = (10^1000 - 1)/7 that took 0.01-0.02 s and a 0.24 MiB
-    ``tracemalloc`` peak, against 0.9-1.6 s and 6.5 MiB for
-    ``derivative_sum(y)(u, u)``."""
+    forms is evaluated, at most 2y + 1 terms, not every term of the
+    partial sum."""
     return derivative_sum(y).diagonal()(u, u)

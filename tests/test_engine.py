@@ -1,7 +1,6 @@
 """Family construction and the symbolic derivative identity."""
 
 import random
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -169,17 +168,12 @@ def test_eval_matches_reference_to_order_64():
 
 def test_eval_reads_only_the_diagonal():
     # derivative_sum(64)(u, u) sums 3,760 products of ~500-bit numerators by
-    # powers of u of up to ~430,000 bits: about 1 s and a 6.5 MiB peak.
-    # Its diagonal, one term, takes about 0.02 s and peaks at 0.24 MiB.
+    # powers of u of up to ~430,000 bits and peaks at about 6.5 MiB; its
+    # diagonal, one term, peaks at about 0.24 MiB.
     u = Rational(10**1000 - 1, 7)
     derivative_sum(64)
-    start = time.perf_counter()
-    value = eval_derivative_at(64, u)
-    elapsed = time.perf_counter() - start
+    value, peak = traced_peak(lambda: eval_derivative_at(64, u))
     assert value == 129 * u**128
-    assert elapsed < 0.5
-    traced, peak = traced_peak(lambda: eval_derivative_at(64, u))
-    assert traced == value
     assert peak <= 2**20
 
 

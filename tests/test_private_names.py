@@ -51,14 +51,6 @@ KEPT = {
     "IdentityReport": "the type check_derivative_identity returns; the benchmark reads its .holds",
     "PolyParseError": "the error parse_poly raises, which callers catch by name",
     "UnknownVariableError": "the error parse_poly raises for a name other than x or z",
-    "BiPoly.degree_x": (
-        "the degree in x, for library callers and the degree tests in test_engine, "
-        "test_powersums and test_bipoly; evaluation reads its top degrees off its own rows"
-    ),
-    "BiPoly.degree_z": (
-        "the degree in z, for library callers and the degree tests in test_engine, "
-        "test_powersums and test_bipoly; evaluation reads its top degrees off its own rows"
-    ),
 }
 
 DUNDERS_KEPT = {
