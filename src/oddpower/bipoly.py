@@ -31,6 +31,9 @@ degree, ties broken by ascending z-degree, that is, the anti-diagonals in
 ascending order, each in ascending z-degree.  For two variables this is a
 total order on exponent pairs, so output is deterministic.  The order is
 sorted out of the small integer keys at each walk; nothing caches it.
+:func:`_format_terms` is the one walk behind all three renders, plain text
+(``str``), LaTeX and JSON, and the one place a coefficient is reduced to
+lowest terms for display.
 
 Degrees must be non-negative ``int`` (checked by
 ``rationals._check_order``), and coefficients, scalar operands and
@@ -223,7 +226,7 @@ class BiPoly:
         )))
 
     def __str__(self) -> str:
-        return _format_terms(self, "{}/{}", "{}^{}")
+        return _format_terms(self, "plain")
 
     def __repr__(self) -> str:
         return f"BiPoly({str(self)!r})"
@@ -249,12 +252,16 @@ def _from_ints(den: int, diags: _Diagonals) -> BiPoly:
 
 def _from_fractions(terms: list[tuple[int, int, int, int]]) -> BiPoly:
     """The sum of ``(deg_x, deg_z, numerator, denominator)`` terms, with
-    positive denominators, added over the lcm of the denominators."""
-    den = lcm(*(d for _, _, _, d in terms))
+    positive denominators, added over the lcm of the denominators.  Each
+    distinct denominator ``d`` gets its scale ``lcm // d`` once, however
+    many terms share it."""
+    denominators = {d for _, _, _, d in terms}
+    den = lcm(*denominators)
+    scales = {d: den // d for d in denominators}
     sums: _Diagonals = {}
     for deg_x, deg_z, n, d in terms:
         row = sums.setdefault(deg_x + deg_z, {})
-        row[deg_z] = row.get(deg_z, 0) + n * (den // d)
+        row[deg_z] = row.get(deg_z, 0) + n * scales[d]
     return _from_ints(den, {
         total: row for total, old in sums.items() if (row := {dz: n for dz, n in old.items() if n})
     })
@@ -316,55 +323,72 @@ def _scaled_powers(value: Rational, degrees: list[int], top: int) -> Iterator[tu
         yield i, power
 
 
-def _reduced_terms(poly: BiPoly) -> Iterator[tuple[int, int, int, int]]:
-    """Yield (deg_x, deg_z, numerator, denominator) in canonical order, each
-    coefficient in lowest terms with a positive denominator; over a
-    denominator of 1 no gcd is taken."""
+# The plain and LaTeX spellings of a term's pieces: a non-integer magnitude
+# from (numerator, denominator) and a power from (variable, exponent).
+_SPELLINGS = {
+    "plain": ("{}/{}", "{}^{}"),
+    "latex": (r"\frac{{{}}}{{{}}}", "{}^{{{}}}"),
+}
+
+
+def _format_terms(poly: BiPoly, fmt: str) -> str:
+    """``poly`` as ``"plain"`` text, ``"latex"`` source or ``"json"``, from
+    one walk of the anti-diagonals in canonical order.
+
+    The walk reduces each coefficient to lowest terms, taking no gcd over a
+    denominator of 1, and spells the term in the one format.  JSON writes
+    ``{"dx":i,"dz":j,"c":"num/den"}`` and a comma after each term but the
+    last.  Plain
+    and LaTeX join signed terms, and differ only in their two
+    :data:`_SPELLINGS`.  Each power of x and of z that a term uses is spelled
+    once per call into a table keyed by the exponent with a leading space
+    (``""``, ``" x"``, ``" x^2"``, ...), so ``x^1000000`` spells one
+    exponent, not a million: the z-degrees are the keys of the rows, so their
+    table is filled from the union of those keys, and each x-degree on its
+    first use.  A term is then its sign, read from the reduced numerator,
+    one ``str`` of that numerator's magnitude, and one concatenation with
+    the two table entries."""
     den, diags = poly._den, poly._diags
+    json = fmt == "json"
+    if not json:
+        fraction, power = _SPELLINGS[fmt]
+        xs = {0: "", 1: " x"}
+        zs = {j: " " + power.format("z", j) for j in set().union(*diags.values())}
+        zs.update({0: "", 1: " z"})
+    # JSON writes its whole text as parts of one join, so that no second
+    # copy of the terms is held while the text is formed.
+    parts: list[str] = ['{"terms":['] if json else []
+    append = parts.append
     for total in sorted(diags):
         row = diags[total]
         for dz in sorted(row):
-            num = row[dz]
-            if den == 1 or (g := gcd(num, den)) == 1:
-                yield total - dz, dz, num, den
+            num, d = row[dz], den
+            if d != 1 and (g := gcd(num, d)) != 1:
+                num //= g
+                d //= g
+            dx = total - dz
+            if json:
+                append(f'{{"dx":{dx},"dz":{dz},"c":"{num}/{d}"}},')
+                continue
+            if num < 0:
+                append(" - ")
+                num = -num
             else:
-                yield total - dz, dz, num // g, den // g
-
-
-def _format_terms(poly: BiPoly, fraction: str, power: str) -> str:
-    """Join ``poly``'s signed terms in canonical order; the format strings
-    ``fraction`` (numerator, denominator) and ``power`` (variable, exponent)
-    spell non-integer magnitudes and exponents above one.
-
-    Each power of x and of z that a term uses is formatted once per call
-    into a table keyed by the exponent with a leading space (``""``,
-    ``" x"``, ``" x^2"``, ...), so ``x^1000000`` spells one exponent, not a
-    million: the z-degrees are the keys of the rows, so their table is
-    filled from the union of those keys, and each x-degree on its first
-    use.  A term is then its sign, read from the reduced numerator that
-    :func:`_reduced_terms` yields, one ``str`` of that numerator's
-    magnitude, and one concatenation with the two table entries."""
-    xs = {0: "", 1: " x"}
-    zs = {j: " " + power.format("z", j) for j in set().union(*poly._diags.values())}
-    zs.update({0: "", 1: " z"})
-    parts: list[str] = []
-    append = parts.append
-    for dx, dz, num, den in _reduced_terms(poly):
-        if num < 0:
-            append(" - ")
-            num = -num
-        else:
-            append(" + ")
-        try:
-            monomial = xs[dx] + zs[dz]
-        except KeyError:  # the first term of this x-degree
-            monomial = xs.setdefault(dx, " " + power.format("x", dx)) + zs[dz]
-        if den != 1:
-            append(fraction.format(num, den) + monomial)
-        elif num == 1 and monomial:
-            append(monomial[1:])
-        else:
-            append(f"{num}{monomial}")
+                append(" + ")
+            try:
+                monomial = xs[dx] + zs[dz]
+            except KeyError:  # the first term of this x-degree
+                monomial = xs.setdefault(dx, " " + power.format("x", dx)) + zs[dz]
+            if d != 1:
+                append(fraction.format(num, d) + monomial)
+            elif num == 1 and monomial:
+                append(monomial[1:])
+            else:
+                append(f"{num}{monomial}")
+    if json:
+        parts[-1] = parts[-1].removesuffix(",")
+        append("]}")
+        return "".join(parts)
     if not parts:
         return "0"
     parts[0] = "-" if parts[0] == " - " else ""

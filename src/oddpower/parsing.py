@@ -14,7 +14,12 @@ for unbounded big-integer work; every ``f_y`` with ``y <= 4999`` parses.
 
 :func:`parse_poly` reads one term per ``_TERM_RE.match`` at the offset where
 the last term ended; a ``search`` would retry at every later position after a
-failure and go quadratic.  At the first term it cannot read, :func:`_refuse`
+failure and go quadratic, and a ``findall`` would hold every match of the text
+at once.  Digit and whitespace runs are possessive, since giving back part of
+one never lets a term match.  ``x`` or ``x^i`` is captured as one spelling,
+and so is ``z`` or ``z^j``; each distinct spelling is turned into a degree,
+and checked against :data:`MAX_DEGREE`, once per call, in a table keyed by
+the spelling.  At the first term it cannot read, :func:`_refuse`
 reads that term again with any digits allowed and raises at the first place
 the text leaves the language: :class:`UnknownVariableError` at a name other
 than x or z, else :class:`PolyParseError`, both with the zero-based offset.
@@ -44,16 +49,18 @@ class UnknownVariableError(PolyParseError):
     """An identifier that is neither x nor z."""
 
 
-# One term, or no match; see the module docstring.  ``x`` and ``z`` must not
-# run into a longer name such as ``xz`` or ``x2``.  Whitespace is consumed only
-# at the start and after a matched piece, so a failed step gives back at most
-# one run of characters and stays linear.  ``\Z`` is the end of the text; ``$``
-# would also match before a final newline.
+# One term, or no match; see the module docstring.  Groups: the sign, the
+# literal, the denominator, and the spellings of x and of z with their
+# exponents.  ``x`` and ``z`` must not run into a longer name such as ``xz``
+# or ``x2``.  Whitespace is consumed only at the start and after a matched
+# piece, so a failed step gives back at most one run of characters and stays
+# linear.  ``\Z`` is the end of the text; ``$`` would also match before a
+# final newline.
 _TERM_RE = re.compile(
-    r"\s*(?:([-+])\s*)?(?=[0-9xz])"
-    r"(?:([0-9]+)(?:/(0*[1-9][0-9]*))?\s*)?"
-    r"(?:(x)(?![A-Za-z0-9_])(?:\^(0*[1-9][0-9]*))?\s*)?"
-    r"(?:(z)(?![A-Za-z0-9_])(?:\^(0*[1-9][0-9]*))?\s*)?"
+    r"\s*+(?:([-+])\s*+)?(?=[0-9xz])"
+    r"(?:([0-9]++)(?:/(0*+[1-9][0-9]*+))?\s*+)?"
+    r"(?:(x(?![A-Za-z0-9_])(?:\^0*+[1-9][0-9]*+)?)\s*+)?"
+    r"(?:(z(?![A-Za-z0-9_])(?:\^0*+[1-9][0-9]*+)?)\s*+)?"
     r"(?=[-+]|\Z)"
 )
 
@@ -76,15 +83,21 @@ def parse_poly(text: str) -> BiPoly:
     parsing is a left inverse of plain rendering.
     """
     terms: list[tuple[int, int, int, int]] = []  # (deg_x, deg_z, numerator, denominator)
+    degrees = {None: 0, "x": 1, "z": 1}  # spelling of a variable -> its degree
     offset, end = 0, len(text)
     match_term = _TERM_RE.match
     try:
         while match := match_term(text, offset):
-            sign, num, den, x, deg_x, z, deg_z = match.groups()
-            deg_x = (int(deg_x) if deg_x else 1) if x else 0
-            deg_z = (int(deg_z) if deg_z else 1) if z else 0
-            if deg_x > MAX_DEGREE or deg_z > MAX_DEGREE:
-                break
+            sign, num, den, x, z = match.groups()
+            try:
+                deg_x, deg_z = degrees[x], degrees[z]
+            except KeyError:  # a spelling with an exponent, met for the first time
+                for spelling in (x, z):
+                    if spelling not in degrees:
+                        degrees[spelling] = int(spelling[2:])
+                deg_x, deg_z = degrees[x], degrees[z]
+                if deg_x > MAX_DEGREE or deg_z > MAX_DEGREE:
+                    break
             num = int(num) if num else 1
             terms.append((deg_x, deg_z, -num if sign == "-" else num, int(den) if den else 1))
             offset = match.end()

@@ -1,8 +1,11 @@
 """Deterministic renderers: plain text, LaTeX, and JSON.
 
-All three formats emit terms in the canonical order (ascending total degree,
-ties broken by ascending z-degree), so output is byte-identical across runs
-for equal polynomials.  JSON is emitted without whitespace.
+All three formats come from one walk of the polynomial's terms,
+``bipoly._format_terms``, which reduces each coefficient once and spells the
+term in the format asked for.  They emit terms in the canonical order
+(ascending total degree, ties broken by ascending z-degree), so output is
+byte-identical across runs for equal polynomials.  JSON is emitted without
+whitespace.
 
 Schemas:
     polynomial   {"terms":[{"dx":i,"dz":j,"c":"<num>/<den>"}, ...]}
@@ -15,7 +18,7 @@ of digits, a slash and at most a leading minus, so nothing needs escaping.
 
 from __future__ import annotations
 
-from .bipoly import BiPoly, _format_terms, _reduced_terms
+from .bipoly import BiPoly, _format_terms
 from .rationals import Rational
 
 __all__ = ["FORMATS", "render", "coeff_vector_json"]
@@ -27,16 +30,8 @@ def render(poly: BiPoly, fmt: str) -> str:
     """Render ``poly`` as ``"plain"`` text (its ``str``, e.g.
     ``3 x z - 3 z^2 + 3 x z^2 - 2 z^3``), ``"latex"`` source with braced
     exponents and ``\\frac`` coefficients, or ``"json"``."""
-    if fmt == "plain":
-        return str(poly)
-    if fmt == "latex":
-        return _format_terms(poly, r"\frac{{{}}}{{{}}}", "{}^{{{}}}")
-    if fmt == "json":
-        terms = ",".join(
-            f'{{"dx":{dx},"dz":{dz},"c":"{num}/{den}"}}'
-            for dx, dz, num, den in _reduced_terms(poly)
-        )
-        return f'{{"terms":[{terms}]}}'
+    if fmt in FORMATS:
+        return _format_terms(poly, fmt)
     raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
 
 

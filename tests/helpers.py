@@ -25,6 +25,11 @@ reordered variables, ``a / b``, any Unicode digit) than ``parse_poly``,
 which reads only the plain render language, so the differential property is
 one way: what ``parse_poly`` accepts the reference reads as the same
 polynomial, and what the reference refuses ``parse_poly`` refuses.
+``parse_poly_loop_reference`` is the regex loop that the possessive,
+one-spelling-per-variable ``parse_poly`` loop replaced, reading the same
+language, so that differential property is exact: the same polynomial, or
+the same error class, message and position.  Its like terms are summed as
+``Fraction``s, not by the constructor's term sum.
 ``eval_reference`` and ``diagonal_reference`` are
 the term-by-term ``Fraction`` evaluation and diagonal collapse that the
 common-denominator ``BiPoly.__call__`` and ``BiPoly.diagonal`` replaced.
@@ -48,7 +53,7 @@ from typing import Iterable, Iterator, Mapping
 
 from oddpower.bipoly import BiPoly
 from oddpower.coefficients import solve_coeffs
-from oddpower.parsing import MAX_DEGREE, PolyParseError, UnknownVariableError, parse_poly
+from oddpower.parsing import MAX_DEGREE, PolyParseError, UnknownVariableError, _refuse, parse_poly
 from oddpower.powersums import conv_sum
 from oddpower.rationals import Rational, bernoulli
 
@@ -561,3 +566,39 @@ def _reference_int(text: str, position: int) -> int:
 def parse_poly_reference(text: str) -> BiPoly:
     """Tokenize ``text`` in full, then parse the token list by recursive descent."""
     return _Parser(text).parse()
+
+
+# The term regex of the loop parser: the same language as
+# ``oddpower.parsing._TERM_RE``, with backtracking runs and the x and z
+# exponents captured as digits.
+_LOOP_TERM_RE = re.compile(
+    r"\s*(?:([-+])\s*)?(?=[0-9xz])"
+    r"(?:([0-9]+)(?:/(0*[1-9][0-9]*))?\s*)?"
+    r"(?:(x)(?![A-Za-z0-9_])(?:\^(0*[1-9][0-9]*))?\s*)?"
+    r"(?:(z)(?![A-Za-z0-9_])(?:\^(0*[1-9][0-9]*))?\s*)?"
+    r"(?=[-+]|\Z)"
+)
+
+
+def parse_poly_loop_reference(text: str) -> BiPoly:
+    """One ``_LOOP_TERM_RE.match`` per term at the offset where the last
+    term ended, each degree read by ``int`` at every term; the first term it
+    cannot read is refused by the parser's own ``_refuse``."""
+    terms: list[tuple[tuple[int, int], Rational]] = []
+    offset, end = 0, len(text)
+    try:
+        while match := _LOOP_TERM_RE.match(text, offset):
+            sign, num, den, x, deg_x, z, deg_z = match.groups()
+            deg_x = (int(deg_x) if deg_x else 1) if x else 0
+            deg_z = (int(deg_z) if deg_z else 1) if z else 0
+            if deg_x > MAX_DEGREE or deg_z > MAX_DEGREE:
+                break
+            num = int(num) if num else 1
+            coeff = Rational(-num if sign == "-" else num, int(den) if den else 1)
+            terms.append(((deg_x, deg_z), coeff))
+            offset = match.end()
+            if offset == end:
+                return BiPoly(_collect(terms))
+    except ValueError:  # more digits than int() reads
+        pass
+    _refuse(text, offset)

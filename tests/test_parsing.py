@@ -1,6 +1,7 @@
 """Plain-syntax polynomial parser: accepted forms, refusals at a position,
-round-trips, and a one-way differential test against the wider grammar of
-``parse_poly_reference``."""
+round-trips, memory bounds, a one-way differential test against the wider
+grammar of ``parse_poly_reference`` and an exact one against the loop of
+``parse_poly_loop_reference``."""
 
 import sys
 import time
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import F1, parse_poly_reference
+from helpers import F1, parse_poly_loop_reference, parse_poly_reference, traced_peak
 from oddpower.bipoly import BiPoly
+from oddpower.engine import build_poly
 from oddpower.parsing import MAX_DEGREE, PolyParseError, UnknownVariableError, parse_poly
 from oddpower.rationals import Rational
 
@@ -211,10 +213,17 @@ def _outcome(parse, text):
         return type(exc), str(exc), exc.position
 
 
+def _matches_loop_reference(text):
+    """``parse_poly`` and the loop it replaced give the same polynomial, or
+    the same error class, message and position."""
+    assert _outcome(parse_poly, text) == _outcome(parse_poly_loop_reference, text)
+
+
 def _agrees_with_reference(text):
     """``parse_poly`` reads a subset of the reference's grammar: a text it
     accepts the reference reads as the same polynomial, and a text the
-    reference refuses it refuses too."""
+    reference refuses it refuses too.  It matches the loop reference exactly."""
+    _matches_loop_reference(text)
     try:
         expected = parse_poly_reference(text)
     except PolyParseError:
@@ -323,6 +332,20 @@ def _rendered_shape(draw):
 @example(" 2x^3z\n")
 def test_rendered_shape_is_accepted(text):
     assert parse_poly(text) == parse_poly_reference(text)
+    _matches_loop_reference(text)
+
+
+def test_family_renders_match_loop_reference():
+    for y in range(65):
+        _matches_loop_reference(str(build_poly(y)))
+
+
+def test_parse_memory_is_bounded():
+    # Matching one term at a time keeps the peak near the size of the
+    # result; holding every match of the text at once would not.
+    for text, bound_mib in ((str(build_poly(64)), 2), ("x + " * 250_000 + "x", 32)):
+        _, peak = traced_peak(lambda: parse_poly(text))
+        assert peak < bound_mib * 2**20, (len(text), peak)
 
 
 # About 1 MB each, each refused in its last term or its first.  A linear
@@ -345,3 +368,4 @@ def test_long_input_parses_in_linear_time(text, expected):
     error_class, _, position = _outcome(parse_poly, text)
     assert time.perf_counter() - start < 10
     assert (error_class, position) == expected
+    _matches_loop_reference(text)

@@ -159,6 +159,7 @@ mixed_bipolys = st.lists(
 def test_renders_match_reference_formatters(poly):
     assert render(poly, "plain") == render_plain_reference(poly)
     assert render(poly, "latex") == render_latex_reference(poly)
+    assert render(poly, "json") == render_json_reference(poly)
 
 
 @pytest.mark.parametrize("y", range(41))
