@@ -6,7 +6,7 @@ proves (by exact zero-residual comparison) that the sum of its partial
 derivatives on the diagonal is the ordinary derivative (2y+1) x^(2y).
 """
 
-from .bipoly import BiPoly
+from .bipoly import BiPoly, render
 from .coefficients import first_failure, solve_coeffs, verify_identity
 from .engine import (
     IdentityReport,
@@ -18,7 +18,6 @@ from .engine import (
 )
 from .powersums import conv_sum, power_sum
 from .rationals import Rational, bernoulli
-from .rendering import render
 
 __version__ = "0.1.0"
 

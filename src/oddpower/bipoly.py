@@ -31,7 +31,7 @@ degree, ties broken by ascending z-degree, that is, the anti-diagonals in
 ascending order, each in ascending z-degree.  For two variables this is a
 total order on exponent pairs, so output is deterministic.  The order is
 sorted out of the small integer keys at each walk; nothing caches it.
-:func:`_format_terms` is the one walk behind all three renders, plain text
+:func:`render` is the one walk behind all three renders, plain text
 (``str``), LaTeX and JSON, and the one place a coefficient is reduced to
 lowest terms for display.
 
@@ -49,7 +49,7 @@ from typing import Iterable, Iterator, Mapping, Union
 
 from .rationals import Rational, _check_order
 
-__all__ = ["BiPoly"]
+__all__ = ["BiPoly", "FORMATS", "render"]
 
 MonomialKey = tuple[int, int]
 CoefficientLike = Union[int, Rational]
@@ -226,7 +226,7 @@ class BiPoly:
         )))
 
     def __str__(self) -> str:
-        return _format_terms(self, "plain")
+        return render(self, "plain")
 
     def __repr__(self) -> str:
         return f"BiPoly({str(self)!r})"
@@ -323,6 +323,8 @@ def _scaled_powers(value: Rational, degrees: list[int], top: int) -> Iterator[tu
         yield i, power
 
 
+FORMATS: tuple[str, ...] = ("plain", "latex", "json")
+
 # The plain and LaTeX spellings of a term's pieces: a non-integer magnitude
 # from (numerator, denominator) and a power from (variable, exponent).
 _SPELLINGS = {
@@ -331,15 +333,21 @@ _SPELLINGS = {
 }
 
 
-def _format_terms(poly: BiPoly, fmt: str) -> str:
-    """``poly`` as ``"plain"`` text, ``"latex"`` source or ``"json"``, from
-    one walk of the anti-diagonals in canonical order.
+def render(poly: BiPoly, fmt: str) -> str:
+    """Render ``poly`` as ``"plain"`` text (its ``str``, e.g.
+    ``3 x z - 3 z^2 + 3 x z^2 - 2 z^3``), ``"latex"`` source with braced
+    exponents and ``\\frac`` coefficients, or ``"json"`` without whitespace,
+    ``{"terms":[{"dx":i,"dz":j,"c":"<num>/<den>"}, ...]}``; any other
+    ``fmt`` raises ``ValueError``.
 
-    The walk reduces each coefficient to lowest terms, taking no gcd over a
-    denominator of 1, and spells the term in the one format.  JSON writes
-    ``{"dx":i,"dz":j,"c":"num/den"}`` and a comma after each term but the
-    last.  Plain
-    and LaTeX join signed terms, and differ only in their two
+    One walk of the anti-diagonals in canonical order reduces each
+    coefficient to lowest terms, taking no gcd over a denominator of 1, and
+    spells the term in the one format, so equal polynomials render to the
+    same bytes.  JSON is written with f-strings, not with the ``json``
+    module: the keys are fixed and every value is an ``int`` or a
+    ``"<num>/<den>"`` string of digits, a slash and at most a leading minus,
+    so nothing needs escaping; each term is followed by a comma but the
+    last.  Plain and LaTeX join signed terms, and differ only in their two
     :data:`_SPELLINGS`.  Each power of x and of z that a term uses is spelled
     once per call into a table keyed by the exponent with a leading space
     (``""``, ``" x"``, ``" x^2"``, ...), so ``x^1000000`` spells one
@@ -348,6 +356,8 @@ def _format_terms(poly: BiPoly, fmt: str) -> str:
     first use.  A term is then its sign, read from the reduced numerator,
     one ``str`` of that numerator's magnitude, and one concatenation with
     the two table entries."""
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
     den, diags = poly._den, poly._diags
     json = fmt == "json"
     if not json:

@@ -1,7 +1,9 @@
 """Command line interface.
 
 Subcommands:
-    coeffs <m>            print the solved coefficient row for order m
+    coeffs <m>            print the solved coefficient row for order m, as
+                          ``A_0 A_1 ... A_m`` or, with --format json, as
+                          ``{"m":<m>,"A":["<num>/<den>", ...]}`` (index r = 0..m)
     poly <y>              print the y-th family polynomial
     diff <y> --var x|z|both   print a partial derivative or their sum
     eval <y> --at <u>     evaluate the derivative sum at (u, u)
@@ -40,10 +42,9 @@ import os
 import sys
 
 from . import engine
-from .bipoly import BiPoly
+from .bipoly import FORMATS, BiPoly, render
 from .coefficients import first_failure, solve_coeffs
 from .rationals import Rational
-from .rendering import FORMATS, coeff_vector_json, render
 
 MAX_ORDER = 64
 MAX_SAMPLES = 1000  # oracle --max-n; the literal double sum costs about n_max^2 / 2 steps
@@ -60,7 +61,7 @@ def _ints(*texts: str) -> list[int]:
     digits = [text[1:] if text[:1] in ("+", "-") else text for text in texts]
     if not all(part.isascii() and part.isdigit() for part in digits):
         raise ValueError(texts)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    limit = sys.get_int_max_str_digits()  # 0: no limit
     if 0 < limit < max(map(len, digits)):
         raise argparse.ArgumentTypeError(
             f"the number has more than {limit} digits, the interpreter's limit for "
@@ -213,7 +214,8 @@ def _run(argv: list[str] | None) -> int:
     if args.command == "coeffs":
         row = solve_coeffs(args.order)
         if args.format == "json":
-            print(coeff_vector_json(row))
+            values = ",".join(f'"{a.numerator}/{a.denominator}"' for a in row)
+            print(f'{{"m":{args.order},"A":[{values}]}}')
         else:
             print(" ".join(str(a) for a in row))
         return 0

@@ -37,8 +37,8 @@ common-denominator ``BiPoly.__call__`` and ``BiPoly.diagonal`` replaced.
 integer-numerator ``BiPoly`` replaced, and ``render_json_reference`` the
 JSON term list written from its ``Fraction`` coefficients by ``json.dumps``.
 ``coeff_vector_json_reference`` is the ``json.dumps`` coefficient row that
-the f-string ``coeff_vector_json`` replaced.  ``traced_peak`` runs a
-computation under ``tracemalloc`` for the memory bounds.
+``oddpower coeffs <m> --format json`` writes with f-strings.  ``traced_peak``
+runs a computation under ``tracemalloc`` for the memory bounds.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ import pytest
 
 import oddpower
 from oddpower.cli import main
-from oddpower.rendering import FORMATS
+from oddpower.bipoly import FORMATS
 
 RUN_PY = Path(__file__).resolve().parent.parent / "oddbench" / "run.py"
 EXPECTED = json.loads((RUN_PY.parent / "expected.json").read_text())

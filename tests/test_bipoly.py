@@ -19,11 +19,10 @@ from helpers import (
     render_plain_reference,
     traced_peak,
 )
-from oddpower.bipoly import BiPoly, _partial_sum
+from oddpower.bipoly import BiPoly, _partial_sum, render
 from oddpower.engine import build_poly, derivative_sum
 from oddpower.parsing import MAX_DEGREE, parse_poly
 from oddpower.rationals import Rational
-from oddpower.rendering import render
 
 coefficients = st.fractions(min_value=-60, max_value=60, max_denominator=12)
 exponent_pairs = st.tuples(st.integers(0, 5), st.integers(0, 5))

@@ -8,6 +8,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -156,7 +157,7 @@ def test_numbers_are_an_optional_sign_and_ascii_digits(capsys, argv):
     assert err.splitlines()[1].startswith("oddpower ") and ": error: argument " in err
 
 
-DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+DIGIT_LIMIT = sys.get_int_max_str_digits()  # 0: no limit
 
 
 @pytest.mark.skipif(not 0 < DIGIT_LIMIT < 5000, reason="needs a digit limit below 5000")
@@ -600,10 +601,7 @@ def test_console_script():
     assert proc.stdout == "1 -14 0 140\n"
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
 def test_console_script_entry_point():
-    import tomllib
-
     pyproject = Path(cli.__file__).resolve().parents[2] / "pyproject.toml"
     project = tomllib.loads(pyproject.read_text())
     assert project["project"]["scripts"] == {"oddpower": "oddpower.cli:main"}

@@ -126,7 +126,7 @@ def test_error_carries_position():
     assert excinfo.value.position == 2
 
 
-_INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_INT_DIGIT_LIMIT = sys.get_int_max_str_digits()  # 0: no limit
 
 
 @pytest.mark.skipif(not _INT_DIGIT_LIMIT, reason="int() has no digit limit here")

@@ -39,9 +39,8 @@ from pathlib import Path
 import oddpower
 import oddpower.bipoly as bipoly
 import oddpower.engine as engine
-from oddpower.bipoly import BiPoly
+from oddpower.bipoly import FORMATS, BiPoly
 from oddpower.cli import main
-from oddpower.rendering import FORMATS
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "oddpower"
 BENCH = PACKAGE.parent.parent / "oddbench"

@@ -1,4 +1,7 @@
-"""Renderer output: canonical ordering, exact bytes, JSON schemas."""
+"""Renderer output: canonical ordering, exact bytes, JSON schemas.
+
+The coefficient row's JSON is written by ``oddpower coeffs <m> --format json``,
+so its tests run the CLI."""
 
 import json
 
@@ -14,11 +17,19 @@ from helpers import (
     render_latex_reference,
     render_plain_reference,
 )
-from oddpower.bipoly import BiPoly
+from oddpower.bipoly import FORMATS, BiPoly, render
+from oddpower.cli import main
 from oddpower.coefficients import solve_coeffs
 from oddpower.engine import build_poly, derivative_sum
 from oddpower.rationals import Rational
-from oddpower.rendering import FORMATS, coeff_vector_json, render
+
+
+def coeff_vector_json(capsys, m: int) -> str:
+    """The line ``oddpower coeffs <m> --format json`` prints, without its newline."""
+    assert main(["coeffs", str(m), "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.endswith("\n")
+    return out[:-1]
 
 
 def test_plain_reference_bytes():
@@ -62,9 +73,9 @@ def test_json_zero_and_fractions():
     assert render(BiPoly.monomial(1, 0, Rational(-1, 2)), "json") == '{"terms":[{"dx":1,"dz":0,"c":"-1/2"}]}'
 
 
-def test_json_has_no_whitespace():
+def test_json_has_no_whitespace(capsys):
     assert " " not in render(F1, "json")
-    assert " " not in coeff_vector_json(solve_coeffs(3))
+    assert " " not in coeff_vector_json(capsys, 3)
 
 
 def test_poly_terms_order_is_canonical():
@@ -77,24 +88,24 @@ def test_poly_terms_order_is_canonical():
     ]
 
 
-def test_coeff_vector_json_bytes():
-    assert coeff_vector_json(solve_coeffs(3)) == '{"m":3,"A":["1/1","-14/1","0/1","140/1"]}'
-    assert coeff_vector_json(solve_coeffs(0)) == '{"m":0,"A":["1/1"]}'
-    wide = json.loads(coeff_vector_json(solve_coeffs(64)))
+def test_coeff_vector_json_bytes(capsys):
+    assert coeff_vector_json(capsys, 3) == '{"m":3,"A":["1/1","-14/1","0/1","140/1"]}'
+    assert coeff_vector_json(capsys, 0) == '{"m":0,"A":["1/1"]}'
+    wide = json.loads(coeff_vector_json(capsys, 64))
     assert wide["m"] == 64
     assert wide["A"] == [f"{a.numerator}/{a.denominator}" for a in solve_coeffs(64)]
 
 
 @pytest.mark.parametrize("m", range(65))
-def test_coeff_vector_json_matches_reference(m):
+def test_coeff_vector_json_matches_reference(capsys, m):
     # Zero entries appear from m = 2, negative ones from 3, fractions from 11.
-    row = solve_coeffs(m)
-    assert coeff_vector_json(row) == coeff_vector_json_reference(row)
+    assert coeff_vector_json(capsys, m) == coeff_vector_json_reference(solve_coeffs(m))
 
 
 def test_unknown_format_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as excinfo:
         render(F1, "html")
+    assert str(excinfo.value) == "unknown format 'html', expected one of ('plain', 'latex', 'json')"
 
 
 def test_formats_tuple():
