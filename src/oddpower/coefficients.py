@@ -12,6 +12,15 @@ against triangular elimination over the diagonals of the convolved sums.
 exact integer arithmetic over the row's lcm denominator, and
 ``first_failure`` says where such a check fails.  The two routes are
 deliberately independent of each other.
+
+The summation is also a proof.  For a row of length L + 1, both sides are
+polynomials in n of degree at most B = 2 max(m, L) + 1 (by Faulhaber,
+sum_{k=1..n} k^r (n-k)^r has degree 2r + 1), and both vanish at n = 0.
+So if they agree at n = 1..B they agree at B + 1 points and are equal for
+every n; a row that fails somewhere fails first at some n <= B.  B is read
+off the row's length, not off the theorem, so a corrupted or wrongly sized
+row is judged exactly.  No polynomial code is involved: the degree bound
+only says where the summing may stop.
 """
 
 from __future__ import annotations
@@ -58,13 +67,17 @@ def solve_coeffs(m: int) -> tuple[Rational, ...]:
 
 
 def first_failure(m: int, n_max: int) -> tuple[int, Rational, int] | None:
-    """Check the expansion literally for every n in 1..n_max.
+    """Check the expansion for every n in 1..n_max.
 
-    Writes the row over the lcm D of its denominators, computes
-    sum_{k=1..n} sum_{r} D*A_r * (k(n-k))^r by direct summation and compares
-    against D * n^(2m+1), so every operation is on plain integers.  Returns
-    the first failing ``(n, lhs, rhs)``, with lhs the double sum and
-    rhs = n^(2m+1), or None if every n passes.  No polynomial code is
+    Writes the row ``solve_coeffs(m)`` over the lcm D of its denominators,
+    computes sum_{k=1..n} sum_{r} D*A_r * (k(n-k))^r by direct summation and
+    compares against D * n^(2m+1), so every operation is on plain integers.
+    It sums n = 1..min(n_max, B) only, with B = 2 max(m, len(row) - 1) + 1:
+    agreement there proves the expansion for every n (see the module
+    docstring), so the n past B are proved, not summed.  Returns the first
+    failing ``(n, lhs, rhs)``, with lhs the double sum and rhs = n^(2m+1),
+    or None if every n in 1..n_max passes; either answer is the one that
+    summing every n up to n_max would give.  No polynomial code is
     involved, so this is an independent oracle for the solver.
     """
     _check_order(n_max, "n_max")
@@ -73,7 +86,8 @@ def first_failure(m: int, n_max: int) -> tuple[int, Rational, int] | None:
     row = solve_coeffs(m)
     den = lcm(*(a.denominator for a in row))
     nums = [a.numerator * (den // a.denominator) for a in row]
-    for n in range(1, n_max + 1):
+    bound = 2 * max(m, len(row) - 1) + 1  # B, the degree of both sides in n at most
+    for n in range(1, min(n_max, bound) + 1):
         total = 0
         for k in range(1, n + 1):
             base = k * (n - k)
@@ -89,5 +103,6 @@ def first_failure(m: int, n_max: int) -> tuple[int, Rational, int] | None:
 
 def verify_identity(m: int, n_max: int) -> bool:
     """True iff the expansion holds for every n in 1..n_max (see
-    :func:`first_failure`)."""
+    :func:`first_failure`).  The n summed are 1..min(n_max, 2m + 1) for the
+    solved row; with n_max >= 2m + 1, True proves the expansion for every n."""
     return first_failure(m, n_max) is None

@@ -37,8 +37,11 @@ common-denominator ``BiPoly.__call__`` and ``BiPoly.diagonal`` replaced.
 integer-numerator ``BiPoly`` replaced, and ``render_json_reference`` the
 JSON term list written from its ``Fraction`` coefficients by ``json.dumps``.
 ``coeff_vector_json_reference`` is the ``json.dumps`` coefficient row that
-``oddpower coeffs <m> --format json`` writes with f-strings.  ``traced_peak``
-runs a computation under ``tracemalloc`` for the memory bounds.
+``oddpower coeffs <m> --format json`` writes with f-strings.
+``first_failure_reference`` is the oracle loop that sums every n up to
+``n_max``, which ``first_failure`` replaced by one that stops at the degree
+bound of its row.  ``traced_peak`` runs a computation under ``tracemalloc``
+for the memory bounds.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ import json
 import random
 import re
 import tracemalloc
-from math import comb, gcd
+from math import comb, gcd, lcm
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -187,6 +190,26 @@ def solve_coeffs_reference(m: int) -> list[Rational]:
                 total += term if d % 2 else -term
         values[r] = (2 * r + 1) * comb(2 * r, r) * total
     return values
+
+
+def first_failure_reference(row, m: int, n_max: int) -> tuple[int, Rational, int] | None:
+    """The first ``(n, lhs, rhs)`` in 1..n_max where the double sum over
+    ``row`` differs from n^(2m+1), or None, summing every n up to n_max
+    on integers over the row's lcm denominator."""
+    den = lcm(*(a.denominator for a in row))
+    nums = [a.numerator * (den // a.denominator) for a in row]
+    for n in range(1, n_max + 1):
+        total = 0
+        for k in range(1, n + 1):
+            base = k * (n - k)
+            inner = 0
+            for a in reversed(nums):
+                inner = inner * base + a
+            total += inner
+        rhs = n ** (2 * m + 1)
+        if total != den * rhs:
+            return n, Rational(total, den), rhs
+    return None
 
 
 def build_poly_from_conv_sums(y: int) -> BiPoly:

@@ -448,9 +448,10 @@ def test_oracle_explicit_range(capsys):
 
 
 def test_oracle_rejects_zero_range(capsys):
-    code, _, err = run(capsys, "oracle", "3", "--max-n", "0")
-    assert code == 2
-    assert "must be positive" in err
+    for max_n in ("0", "-1"):
+        code, _, err = run(capsys, "oracle", "3", "--max-n", max_n)
+        assert code == 2
+        assert f"must be positive: '{max_n}'" in err
 
 
 def test_oracle_failure_exits_one(capsys, monkeypatch):
@@ -510,10 +511,17 @@ def test_verify_guard_applies_to_max_y(capsys):
 
 
 def test_oracle_range_refused(capsys):
+    # No soft limit on --max-n: the oracle sums n only up to 2m + 1.
     code, out, err = run(capsys, "oracle", "0", "--max-n", "1001")
-    assert code == 2
-    assert out == ""
-    assert "soft limit" in err and "--allow-large" in err
+    assert code == 0
+    assert out == "m=0: PASS (n = 1..1001)\n"
+    assert err == ""
+
+
+def test_oracle_range_past_a_million(capsys):
+    code, out, _ = run(capsys, "oracle", "64", "--max-n", "1000000")
+    assert code == 0
+    assert out == "m=64: PASS (n = 1..1000000)\n"
 
 
 def test_oracle_range_allowed_with_flag(capsys):

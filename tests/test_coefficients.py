@@ -1,12 +1,18 @@
 """Coefficient rows of the odd-power identity and the integer oracle."""
 
+import random
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import scale, solve_coeffs_by_elimination, solve_coeffs_reference
+from helpers import (
+    first_failure_reference,
+    scale,
+    solve_coeffs_by_elimination,
+    solve_coeffs_reference,
+)
 from oddpower.bipoly import BiPoly
 import oddpower.coefficients as coefficients
 from oddpower.coefficients import first_failure, solve_coeffs, verify_identity
@@ -84,6 +90,77 @@ def test_first_failure_names_n_and_both_sides(monkeypatch):
     assert not verify_identity(11, 25)
     values[0] += 1  # the only entry n = 1 sees: lhs = A_0
     assert first_failure(11, 25) == (1, Rational(2), 1)
+
+
+CORRUPTIONS = ("change", "move", "longer", "shorter")
+
+
+def corrupt(row, kind, i, j, delta):
+    """``row`` with one defect: entry i changed by ``delta``, ``delta`` moved
+    from entry j to entry i, a top entry ``delta`` put j % 3 zeros above the
+    row, or the row cut to its first i % len(row) entries."""
+    values = list(row)
+    i %= len(values)
+    if kind == "change":
+        values[i] += delta
+    elif kind == "move":
+        values[i] += delta
+        values[j % len(values)] -= delta
+    elif kind == "longer":
+        values += [Rational(0)] * (j % 3) + [delta]
+    else:
+        del values[i:]
+    return tuple(values)
+
+
+def degree_bound(row, m):
+    # B, the degree in n at most of both sides of the expansion over ``row``.
+    return 2 * max(m, len(row) - 1) + 1
+
+
+def test_capped_oracle_matches_full_summation(monkeypatch):
+    rng = random.Random(26)
+    for _ in range(600):
+        m = rng.randint(0, 16)
+        delta = Rational(rng.choice((-1, 1)) * rng.randint(1, 50), rng.randint(1, 7))
+        kind = rng.choice(CORRUPTIONS)
+        row = corrupt(solve_coeffs(m), kind, rng.randint(0, m), rng.randint(0, m), delta)
+        monkeypatch.setattr(coefficients, "solve_coeffs", lambda m: row)
+        bound = degree_bound(row, m)
+        for n_max in (1, bound - 1, bound, bound + 1, 3 * bound):
+            if n_max > 0:
+                expected = first_failure_reference(row, m, n_max)
+                assert first_failure(m, n_max) == expected, (row, m, n_max)
+
+
+@settings(deadline=None)
+@given(
+    m=st.integers(0, 20),
+    kind=st.sampled_from(CORRUPTIONS),
+    i=st.integers(0, 40),
+    j=st.integers(0, 40),
+    delta=st.builds(Rational, st.integers(-100, 100).filter(bool), st.integers(1, 30)),
+)
+def test_corrupted_row_fails_within_degree_bound(m, kind, i, j, delta):
+    solved = solve_coeffs(m)
+    row = corrupt(solved, kind, i, j, delta)
+    bound = degree_bound(row, m)
+    failure = first_failure_reference(row, m, 3 * bound)
+    assert (failure is None) == (row == solved)
+    assert failure is None or failure[0] <= bound
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coefficients, "solve_coeffs", lambda m: row)
+        assert first_failure(m, 3 * bound) == failure
+
+
+def test_oracle_proves_every_row_to_order_64():
+    for m in range(65):
+        assert first_failure(m, 2 * m + 1) is None, m
+
+
+def test_oracle_range_past_the_bound_costs_nothing():
+    # The parent loop would sum for days; n past 2m + 1 are proved, not summed.
+    assert first_failure(64, 10**9) is None
 
 
 def test_oracle_literal_restatement():
