@@ -272,15 +272,19 @@ def _from_rows(rows: list[tuple[int, int, list[int]]]) -> BiPoly:
     ``(i, den, nums)`` rows, one per x-degree ``i``, each ``den > 0`` and
     each row reduced by its content.  The rows are written over the lcm of
     their denominators, which is then already the reduced denominator, each
-    numerator of x^i z^k straight into the anti-diagonal i + k."""
+    numerator of x^i z^k straight into the anti-diagonal i + k, one map
+    per anti-diagonal, and a row already over the lcm as it is."""
     den = lcm(*(d for _, d, _ in rows))
-    diags: _Diagonals = {}
+    width = max((i + len(nums) for i, _, nums in rows), default=0)
+    by_total: list[dict[int, int]] = [{} for _ in range(width)]  # deg_z -> numerator
     for i, d, nums in rows:
-        scale = den // d
-        for total, n in enumerate(nums, i):
+        if d != den:
+            scale = den // d
+            nums = [n * scale for n in nums]
+        for k, n in enumerate(nums):
             if n:
-                diags.setdefault(total, {})[total - i] = n * scale
-    return _from_ints(den, diags)
+                by_total[i + k][k] = n
+    return _from_ints(den, {total: row for total, row in enumerate(by_total) if row})
 
 
 def _add(a: BiPoly, b: BiPoly, sign: int) -> BiPoly:

@@ -26,7 +26,7 @@ only says where the summing may stop.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 from .rationals import Rational, _check_order, bernoulli
 
@@ -43,27 +43,30 @@ def solve_coeffs(m: int) -> tuple[Rational, ...]:
         A_r = (2r+1) * C(2r, r) * sum_{d=2r+1..m} A_d * C(d, 2r+1)
                                     * (-1)^(d-1) * B_{2d-2r} / (d-r)
 
-    so A_r = 0 whenever 2r + 1 > m.  Each A_r is summed on integers: every
-    d-term is an integer numerator over A_d's denominator times B's
-    denominator times (d - r), the terms are added over the lcm of those
-    denominators, and the one ``Rational`` formed from the sum is reduced by
-    one gcd.
+    so A_r = 0 whenever 2r + 1 > m, that is for (m-1)/2 < r < m.  Only
+    r = (m-1)//2, ..., 0 are computed, and each sums only the d where A_d
+    may be nonzero, d in [2r+1, (m-1)//2] and d = m.  Each A_r is summed on
+    integer (numerator, denominator) pairs: every d-term is an integer
+    numerator over A_d's denominator times B's denominator times (d - r),
+    the terms are added over the lcm of those denominators, and the sum is
+    reduced by one gcd.  One ``Rational`` per entry is formed at the end.
     """
     _check_order(m, "m")
-    values: list[Rational] = [Rational(0)] * (m + 1)
-    values[m] = Rational((2 * m + 1) * comb(2 * m, m))
-    for r in range(m - 1, -1, -1):
-        terms = []  # (numerator, denominator) of each nonzero d-term
-        for d in range(2 * r + 1, m + 1):
-            a = values[d]
-            if a:
-                b = bernoulli(2 * d - 2 * r)
-                num = a.numerator * comb(d, 2 * r + 1) * b.numerator
-                terms.append((num if d % 2 else -num, a.denominator * b.denominator * (d - r)))
+    half = (m - 1) // 2  # the largest r < m with 2r + 1 <= m
+    pairs = [(0, 1)] * (m + 1)  # (numerator, denominator) of each A_r
+    pairs[m] = ((2 * m + 1) * comb(2 * m, m), 1)
+    for r in range(half, -1, -1):
+        terms = []  # (numerator, denominator) of each d-term
+        for d in (*range(2 * r + 1, half + 1), m):
+            a_num, a_den = pairs[d]
+            b = bernoulli(2 * d - 2 * r)
+            num = a_num * comb(d, 2 * r + 1) * b.numerator
+            terms.append((num if d % 2 else -num, a_den * b.denominator * (d - r)))
         den = lcm(*(t_den for _, t_den in terms))
-        total = sum(num * (den // t_den) for num, t_den in terms)
-        values[r] = Rational((2 * r + 1) * comb(2 * r, r) * total, den)
-    return tuple(values)
+        num = (2 * r + 1) * comb(2 * r, r) * sum(t_num * (den // t_den) for t_num, t_den in terms)
+        g = gcd(num, den)
+        pairs[r] = (num // g, den // g)
+    return tuple(Rational(num, den) for num, den in pairs)
 
 
 def first_failure(m: int, n_max: int) -> tuple[int, Rational, int] | None:

@@ -23,7 +23,7 @@ from math import comb, gcd, lcm
 from typing import Sequence
 
 from .bipoly import BiPoly, _as_rational, _from_rows
-from .rationals import Rational, _check_order, bernoulli
+from .rationals import Rational, _check_order, _nonzero_bernoulli_below
 
 __all__ = ["power_sum", "conv_sum", "combine_conv_sums"]
 
@@ -39,17 +39,24 @@ def power_sum(p: int) -> tuple[int, tuple[int, ...]]:
         S_p(z) = (1/(p+1)) * sum_{j=0..p} C(p+1, j) * B_j * z^(p+1-j)
 
     The +1/2 convention makes the closed form inclusive of the upper bound z,
-    so S_p(n) really is 1^p + ... + n^p for integer n >= 1.  The terms are
-    written over (p + 1) times the lcm of the denominators of B_0..B_p, and
-    the row is then divided by its content.
+    so S_p(n) really is 1^p + ... + n^p for integer n >= 1.  Only B_0, B_1
+    and the even-index B_j are not 0, so the sum runs over those alone and
+    the nonzero degrees are z^(p+1), z^(p-1), z^(p-3), ... down to z^1 or
+    z^2, and z^p for p >= 1; every other coefficient, z^0 included, is 0.
+    The terms are written over (p + 1) times the lcm of the denominators of
+    those B_j, divided by their content, and each numerator is written
+    straight to its degree.
     """
     _check_order(p, "p")
-    bern = [bernoulli(j) for j in range(p + 1)]
-    common = lcm(*(b.denominator for b in bern))
-    nums = [comb(p + 1, j) * b.numerator * (common // b.denominator) for j, b in enumerate(bern)]
+    terms = _nonzero_bernoulli_below(p + 1)
+    common = lcm(*(d for _, _, d in terms))
+    nums = [(j, comb(p + 1, j) * num * (common // d)) for j, num, d in terms]
     den = (p + 1) * common
-    g = gcd(den, *nums)
-    return den // g, (0, *(n // g for n in reversed(nums)))  # B_j goes with z^(p+1-j)
+    g = gcd(den, *(n for _, n in nums))
+    coeffs = [0] * (p + 2)
+    for j, n in nums:
+        coeffs[p + 1 - j] = n // g  # B_j goes with z^(p+1-j)
+    return den // g, tuple(coeffs)
 
 
 def combine_conv_sums(row: Sequence[int | Rational]) -> BiPoly:
@@ -63,8 +70,13 @@ def combine_conv_sums(row: Sequence[int | Rational]) -> BiPoly:
     reduced by the gcd of its numerator and denominator before its products,
     so an x-degree row adds integer numerators over the small lcm of the
     reduced part denominators (at most 9 bits at order 64 and 11 at order
-    128).  The row is then reduced by its content, and ``_from_rows``
-    writes the rows over the lcm of their denominators.
+    128).  A part with p = 2r - i reads only the degrees of S_p that can be
+    nonzero (see ``power_sum``): z^(p+1), z^(p-1), ... down to z^1 or z^2,
+    where B_0 and the even B_j sit, and z^p, where B_1 sits, for p >= 1.
+    The other degrees hold the odd B_j above B_1, which are 0, so no
+    coefficient is tested for zero.  The row is then reduced by its
+    content, and ``_from_rows`` writes the rows over the lcm of their
+    denominators.
     """
     y = len(row) - 1
     entries = []  # (r, numerator, denominator) of each nonzero row[r]
@@ -78,17 +90,24 @@ def combine_conv_sums(row: Sequence[int | Rational]) -> BiPoly:
         for r, a_num, a_den in entries:
             if r >= i:
                 ps_den, coeffs = power_sum(2 * r - i)
-                num = (-1 if (r - i) % 2 else 1) * a_num * comb(r, i)
+                num = a_num * comb(r, i)
+                if (r - i) % 2:
+                    num = -num
                 den = a_den * ps_den
                 g = gcd(num, den)
-                parts.append((num // g, den // g, coeffs))
+                if g != 1:
+                    num //= g
+                    den //= g
+                parts.append((num, den, coeffs))
         common = lcm(*(den for _, den, _ in parts))
         acc = [0] * (2 * y - i + 2)  # S_{2y-i} has degree 2y - i + 1
         for num, den, coeffs in parts:
-            factor = num * (common // den)
-            for k, c in enumerate(coeffs):
-                if c:
-                    acc[k] += factor * c
+            factor = num if den == common else num * (common // den)
+            p = len(coeffs) - 2
+            for k in range(1 + p % 2, p + 2, 2):  # z^(p+1), z^(p-1), ...
+                acc[k] += factor * coeffs[k]
+            if p:
+                acc[p] += factor * coeffs[p]
         g = gcd(common, *acc)
         if g != 1:
             common //= g

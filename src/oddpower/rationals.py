@@ -31,6 +31,14 @@ def _check_order(value: int, name: str) -> None:
         raise ValueError(f"{name} must be non-negative, got {value}")
 
 
+def _nonzero_bernoulli_below(n: int) -> list[tuple[int, int, int]]:
+    """``(j, numerator, denominator)`` of each B_j with j < n that is not 0:
+    B_0, B_1 and the even-index B_j, read once each.  The odd B_j above B_1
+    are 0, which the tests check against the recurrence with no shortcut."""
+    return [(j, (b := bernoulli(j)).numerator, b.denominator)
+            for j in (*range(min(n, 2)), *range(2, n, 2))]
+
+
 @lru_cache(maxsize=None, typed=True)
 def bernoulli(n: int) -> Rational:
     """Bernoulli number B_n under the convention B_1 = +1/2.
@@ -41,22 +49,20 @@ def bernoulli(n: int) -> Rational:
 
     which pins B_1 to +1/2.  With this sign choice the power-sum polynomial
     assembled from these numbers includes its upper summation bound, so no
-    correction term is needed downstream.  The sum over j < n is taken on
-    integers: each C(n+1, j) * B_j is written over the lcm L of the
-    denominators of B_0..B_(n-1), and B_n = ((n+1) * L - sum) / ((n+1) * L)
-    is the one ``Rational`` formed.  Values are memoized; the cache is
-    invisible to callers since every result is immutable.
+    correction term is needed downstream.  B_n is 0 for odd n > 1, so it is
+    returned at once, and the sum over j < n reads only the B_j that are not
+    0: B_0, B_1 and the even j, each as an integer triple.  Each
+    C(n+1, j) * B_j is written over the lcm L of their denominators, and
+    B_n = ((n+1) * L - sum) / ((n+1) * L) is the one ``Rational`` formed.
+    Values are memoized; the cache is invisible to callers since every
+    result is immutable.
     """
     _check_order(n, "n")
     if n == 0:
         return Rational(1)
     if n > 2 and n % 2 == 1:
-        # Odd Bernoulli numbers above B_1 vanish; skipping the sum here is a
-        # shortcut only, the defining recurrence is asserted in the tests.
         return Rational(0)
-    earlier = [bernoulli(j) for j in range(n)]
-    den = lcm(*(b.denominator for b in earlier))
-    acc = sum(
-        comb(n + 1, j) * b.numerator * (den // b.denominator) for j, b in enumerate(earlier) if b
-    )
+    terms = _nonzero_bernoulli_below(n)
+    den = lcm(*(d for _, _, d in terms))
+    acc = sum(comb(n + 1, j) * num * (den // d) for j, num, d in terms)
     return Rational((n + 1) * den - acc, (n + 1) * den)

@@ -15,8 +15,12 @@ direct builder replaced; the differential tests hold the two routes equal.
 ``power_sum_reference`` is the ``Fraction``-per-coefficient Faulhaber loop
 that the integer row ``power_sum`` replaced, and ``conv_sum_reference`` the
 separate ``H_r`` expansion, from those reference power sums, that the shared
-``combine_conv_sums`` loop replaced.  ``row_poly`` wraps a ``power_sum`` row
-as a ``BiPoly`` in z, and ``assert_reduced_row`` checks the row's invariants.
+``combine_conv_sums`` loop replaced.  ``combine_conv_sums_loop_reference``
+is that loop visiting every coefficient of each power sum and skipping the
+zeros, which the walk over the degrees that can be nonzero replaced; it
+builds its result with the ``BiPoly`` constructor.  ``row_poly`` wraps a
+``power_sum`` row as a ``BiPoly`` in z, and ``assert_reduced_row`` checks the
+row's invariants.
 ``render_plain_reference`` and ``render_latex_reference`` are the two
 separate term-formatting loops that the shared formatter replaced.
 ``parse_poly_reference`` is the token-list parser that the one-pass
@@ -54,10 +58,10 @@ from math import comb, gcd, lcm
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
-from oddpower.bipoly import BiPoly
+from oddpower.bipoly import BiPoly, _as_rational
 from oddpower.coefficients import solve_coeffs
 from oddpower.parsing import MAX_DEGREE, PolyParseError, UnknownVariableError, _refuse, parse_poly
-from oddpower.powersums import conv_sum
+from oddpower.powersums import conv_sum, power_sum
 from oddpower.rationals import Rational, bernoulli
 
 CORPUS = Path(__file__).resolve().parent / "reference_fixtures.txt"
@@ -242,6 +246,37 @@ def conv_sum_reference(r: int) -> BiPoly:
     for j in range(r + 1):
         factor = (-1 if j % 2 else 1) * comb(r, j)
         terms.extend(((r - j, k), factor * c) for _, k, c in power_sum_reference(r + j).terms())
+    return BiPoly(terms)
+
+
+def combine_conv_sums_loop_reference(row) -> BiPoly:
+    """sum_r row[r] * H_r(x, z), one x-degree row of Faulhaber numerators at
+    a time, visiting every coefficient of each power sum and testing it for
+    zero."""
+    y = len(row) - 1
+    entries = []
+    for r, a in enumerate(row):
+        a = _as_rational(a, "row entry")
+        if a:
+            entries.append((r, a.numerator, a.denominator))
+    terms = {}
+    for i in range(y + 1):
+        parts = []
+        for r, a_num, a_den in entries:
+            if r >= i:
+                ps_den, coeffs = power_sum(2 * r - i)
+                num = (-1 if (r - i) % 2 else 1) * a_num * comb(r, i)
+                den = a_den * ps_den
+                g = gcd(num, den)
+                parts.append((num // g, den // g, coeffs))
+        common = lcm(*(den for _, den, _ in parts))
+        acc = [0] * (2 * y - i + 2)
+        for num, den, coeffs in parts:
+            factor = num * (common // den)
+            for k, c in enumerate(coeffs):
+                if c:
+                    acc[k] += factor * c
+        terms.update(((i, k), Rational(n, common)) for k, n in enumerate(acc) if n)
     return BiPoly(terms)
 
 

@@ -198,10 +198,17 @@ def test_row_length_and_indexing(m):
     assert all(type(a) is Rational for a in row)
     assert len(row) == m + 1
     assert row[-1] == (2 * m + 1) * comb(2 * m, m)
-    half = (m + 1) // 2  # A_r = 0 for half <= r < m, where 2r + 1 > m
-    assert list(row) == [*row[:half], *[0] * (m - half), row[m]]
     if m in KNOWN_ROWS:
         assert list(row) == KNOWN_ROWS[m]
+
+
+def test_entries_between_half_and_top_vanish_to_order_200():
+    # A_r = 0 for (m-1)/2 < r < m, where 2r + 1 > m, and nowhere else.
+    for m in range(201):
+        row = solve_coeffs(m)
+        half = (m + 1) // 2
+        assert row[half:m] == (0,) * (m - half), m
+        assert all(row[:half]) and row[m], m
 
 
 def test_coeff_vector_is_frozen():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     assert_reduced_row,
+    combine_conv_sums_loop_reference,
     conv_sum_reference,
     power_sum_reference,
     row_poly,
@@ -15,6 +16,7 @@ from helpers import (
     shift_z,
 )
 from oddpower.bipoly import BiPoly
+from oddpower.coefficients import solve_coeffs
 from oddpower.powersums import combine_conv_sums, conv_sum, power_sum
 from oddpower.rationals import Rational
 
@@ -64,6 +66,16 @@ def test_power_sum_rejects_negative():
 def test_power_sum_matches_reference_to_degree_200():
     for p in range(201):
         assert row_poly(power_sum(p)) == power_sum_reference(p), p
+
+
+def test_power_sum_nonzero_degrees_to_degree_400():
+    # B_j goes with z^(p+1-j), and only B_0, B_1 and the even B_j are nonzero
+    # (bernoulli matches the recurrence with no odd-index shortcut to 400), so
+    # these are the only degrees combine_conv_sums reads.
+    for p in range(401):
+        _, coeffs = power_sum(p)
+        expected = {*range(p + 1, 0, -2), *([p] if p else [])}
+        assert {k for k, c in enumerate(coeffs) if c} == expected, p
 
 
 def test_shift_z_examples():
@@ -146,6 +158,27 @@ def test_combine_conv_sums_matches_scaled_conv_sums(row):
     for r, a in enumerate(row):
         expected = expected + scale(conv_sum_reference(r), a)
     assert combine_conv_sums(row) == expected
+
+
+def assert_matches_loop_reference(row):
+    poly, expected = combine_conv_sums(row), combine_conv_sums_loop_reference(row)
+    assert poly == expected, row
+    assert str(poly) == str(expected), row
+
+
+def test_combine_conv_sums_matches_loop_reference_on_solved_rows():
+    for y in [*range(65), 128]:
+        assert_matches_loop_reference(solve_coeffs(y))
+
+
+def test_combine_conv_sums_matches_loop_reference_on_unit_rows():
+    for r in range(41):
+        assert_matches_loop_reference((0,) * r + (1,))
+
+
+@given(row=st.lists(_ROW_ENTRIES, min_size=1, max_size=12))
+def test_combine_conv_sums_matches_loop_reference(row):
+    assert_matches_loop_reference(row)
 
 
 @pytest.mark.parametrize("row", [[1.5], [0.0, 1], [True], ["a"]], ids=repr)

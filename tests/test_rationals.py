@@ -112,10 +112,11 @@ def test_bernoulli_defining_recurrence():
 
 
 def test_bernoulli_matches_fraction_recurrence():
-    # Every B_n that verify --max-y 128 reads (power sums up to S_257).
-    reference = bernoulli_reference(258)
-    assert [bernoulli(n) for n in range(259)] == reference
-    assert all(type(bernoulli(n)) is Rational for n in range(259))
+    # Every B_n that verify --max-y 128 reads (power sums up to S_257), and
+    # the power sums to S_400, whose nonzero degrees test_powersums pins.
+    reference = bernoulli_reference(400)
+    assert [bernoulli(n) for n in range(401)] == reference
+    assert all(type(bernoulli(n)) is Rational for n in range(401))
 
 
 def test_bernoulli_negative_raises():
