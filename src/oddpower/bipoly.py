@@ -254,13 +254,17 @@ def _from_fractions(terms: list[tuple[int, int, int, int]]) -> BiPoly:
     """The sum of ``(deg_x, deg_z, numerator, denominator)`` terms, with
     positive denominators, added over the lcm of the denominators.  Each
     distinct denominator ``d`` gets its scale ``lcm // d`` once, however
-    many terms share it."""
+    many terms share it.  A term's anti-diagonal is looked up first, and a
+    new map is made only for the first term of each anti-diagonal."""
     denominators = {d for _, _, _, d in terms}
     den = lcm(*denominators)
     scales = {d: den // d for d in denominators}
     sums: _Diagonals = {}
     for deg_x, deg_z, n, d in terms:
-        row = sums.setdefault(deg_x + deg_z, {})
+        total = deg_x + deg_z
+        row = sums.get(total)
+        if row is None:
+            row = sums[total] = {}
         row[deg_z] = row.get(deg_z, 0) + n * scales[d]
     return _from_ints(den, {
         total: row for total, old in sums.items() if (row := {dz: n for dz, n in old.items() if n})
@@ -302,14 +306,23 @@ def _add(a: BiPoly, b: BiPoly, sign: int) -> BiPoly:
 def _partial_sum(poly: BiPoly) -> BiPoly:
     """``poly.diff("x") + poly.diff("z")`` in one pass.  Anti-diagonal T
     moves down to T - 1, where x^(T-1-j) z^j gets the numerator
-    (T - j) n(T, j) + (j + 1) n(T, j + 1), summed for each z-degree j of
-    the row and each one just below them, not for every j up to T."""
-    return _from_ints(poly._den, {
-        total - 1: row
-        for total, old in poly._diags.items()
-        if (row := {j: n for j in {*old, *(k - 1 for k in old if k)}
-                    if (n := (total - j) * old.get(j, 0) + (j + 1) * old.get(j + 1, 0))})
-    })
+    (T - j) n(T, j) + (j + 1) n(T, j + 1).  The x-part (T - j) n(T, j) is
+    one map over the row's z-degrees j but j = T, none of it zero; the
+    z-part j n(T, j) of each j > 0 is then added into z-degree j - 1 in
+    place.  Only that addition can cancel, so the zeros are filtered out
+    only when the row holds one.  The cost follows the terms, not every j
+    up to T."""
+    diags: _Diagonals = {}
+    for total, old in poly._diags.items():
+        row = {j: (total - j) * n for j, n in old.items() if j != total}
+        for j, n in old.items():
+            if j:
+                row[j - 1] = row.get(j - 1, 0) + j * n
+        if 0 in row.values():
+            row = {j: n for j, n in row.items() if n}
+        if row:
+            diags[total - 1] = row
+    return _from_ints(poly._den, diags)
 
 
 def _scaled_powers(value: Rational, degrees: list[int], top: int) -> Iterator[tuple[int, int]]:

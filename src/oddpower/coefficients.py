@@ -45,28 +45,34 @@ def solve_coeffs(m: int) -> tuple[Rational, ...]:
 
     so A_r = 0 whenever 2r + 1 > m, that is for (m-1)/2 < r < m.  Only
     r = (m-1)//2, ..., 0 are computed, and each sums only the d where A_d
-    may be nonzero, d in [2r+1, (m-1)//2] and d = m.  Each A_r is summed on
-    integer (numerator, denominator) pairs: every d-term is an integer
-    numerator over A_d's denominator times B's denominator times (d - r),
-    the terms are added over the lcm of those denominators, and the sum is
-    reduced by one gcd.  One ``Rational`` per entry is formed at the end.
+    may be nonzero, d in [2r+1, (m-1)//2] and d = m.  The Bernoulli numbers
+    B_0, B_2, ..., B_2m are read once per call, as integer (numerator,
+    denominator) pairs in a local list indexed by d - r.  Each A_r is
+    summed on integer pairs: every d-term is an integer numerator over
+    A_d's denominator times B's denominator times (d - r), the terms are
+    added over the lcm of those denominators, and the sum is reduced by one
+    gcd.  One ``Rational`` per nonzero entry is formed at the end; the zero
+    entries share one ``Rational(0)``.
     """
     _check_order(m, "m")
     half = (m - 1) // 2  # the largest r < m with 2r + 1 <= m
+    # (numerator, denominator) of B_0, B_2, ..., B_2m: entry d - r is B_{2d-2r}
+    b_row = [(b.numerator, b.denominator) for b in map(bernoulli, range(0, 2 * m + 1, 2))]
     pairs = [(0, 1)] * (m + 1)  # (numerator, denominator) of each A_r
     pairs[m] = ((2 * m + 1) * comb(2 * m, m), 1)
     for r in range(half, -1, -1):
         terms = []  # (numerator, denominator) of each d-term
         for d in (*range(2 * r + 1, half + 1), m):
             a_num, a_den = pairs[d]
-            b = bernoulli(2 * d - 2 * r)
-            num = a_num * comb(d, 2 * r + 1) * b.numerator
-            terms.append((num if d % 2 else -num, a_den * b.denominator * (d - r)))
+            b_num, b_den = b_row[d - r]
+            num = a_num * comb(d, 2 * r + 1) * b_num
+            terms.append((num if d % 2 else -num, a_den * b_den * (d - r)))
         den = lcm(*(t_den for _, t_den in terms))
         num = (2 * r + 1) * comb(2 * r, r) * sum(t_num * (den // t_den) for t_num, t_den in terms)
         g = gcd(num, den)
         pairs[r] = (num // g, den // g)
-    return tuple(Rational(num, den) for num, den in pairs)
+    zero = Rational(0)
+    return tuple(Rational(num, den) if num else zero for num, den in pairs)
 
 
 def first_failure(m: int, n_max: int) -> tuple[int, Rational, int] | None:

@@ -34,6 +34,10 @@ one-spelling-per-variable ``parse_poly`` loop replaced, reading the same
 language, so that differential property is exact: the same polynomial, or
 the same error class, message and position.  Its like terms are summed as
 ``Fraction``s, not by the constructor's term sum.
+``partial_sum_keyset_reference`` is the ``_partial_sum`` that formed a key
+set per anti-diagonal, the row's z-degrees and each one just below them,
+and read two numerators per key, which the x-part map with the z-part added
+in place replaced.
 ``eval_reference`` and ``diagonal_reference`` are
 the term-by-term ``Fraction`` evaluation and diagonal collapse that the
 common-denominator ``BiPoly.__call__`` and ``BiPoly.diagonal`` replaced.
@@ -58,7 +62,7 @@ from math import comb, gcd, lcm
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
-from oddpower.bipoly import BiPoly, _as_rational
+from oddpower.bipoly import BiPoly, _as_rational, _from_ints
 from oddpower.coefficients import solve_coeffs
 from oddpower.parsing import MAX_DEGREE, PolyParseError, UnknownVariableError, _refuse, parse_poly
 from oddpower.powersums import conv_sum, power_sum
@@ -318,6 +322,18 @@ def eval_reference(poly: BiPoly, x_val: int | Rational, z_val: int | Rational) -
 def diagonal_reference(poly: BiPoly) -> BiPoly:
     """poly with z = x, accumulating the Fraction coefficients term by term."""
     return BiPoly([((dx + dz, 0), coeff) for dx, dz, coeff in poly.terms()])
+
+
+def partial_sum_keyset_reference(poly: BiPoly) -> BiPoly:
+    """``poly.diff("x") + poly.diff("z")``: anti-diagonal T moves down to
+    T - 1, and each z-degree j in the set of the row's z-degrees and each
+    one just below them gets (T - j) n(T, j) + (j + 1) n(T, j + 1)."""
+    return _from_ints(poly._den, {
+        total - 1: row
+        for total, old in poly._diags.items()
+        if (row := {j: n for j in {*old, *(k - 1 for k in old if k)}
+                    if (n := (total - j) * old.get(j, 0) + (j + 1) * old.get(j + 1, 0))})
+    })
 
 
 def assert_canonical_layout(poly: BiPoly) -> None:

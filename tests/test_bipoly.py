@@ -14,6 +14,7 @@ from helpers import (
     assert_canonical_layout,
     diagonal_reference,
     eval_reference,
+    partial_sum_keyset_reference,
     render_json_reference,
     render_latex_reference,
     render_plain_reference,
@@ -358,6 +359,8 @@ def test_ring_operations_match_reference(a, b, s):
 @example(a={(1, 0): 1, (0, 1): -1})  # (x - z).diagonal() and its d/dx + d/dz are zero
 # (x - z)^2 + 3x/2: d/dx + d/dz cancels all of anti-diagonal 2, and the denominator 2 stays
 @example(a={(2, 0): 1, (1, 1): -2, (0, 2): 1, (1, 0): Rational(3, 2)})
+# x^2 - 2xz + 5z^2: d/dx + d/dz cancels x but keeps 8z, so a row is filtered and kept
+@example(a={(2, 0): 1, (1, 1): -2, (0, 2): 5})
 @example(a={(MAX_DEGREE, 0): Rational(1, 3), (2, MAX_DEGREE - 1): 5})  # sparse, near MAX_DEGREE
 @example(a={(0, 2): 3, (0, 1): Rational(1, 2)})  # diff("x") of a z-only polynomial is zero
 @example(a={(2, 0): 3, (1, 0): Rational(1, 2)})  # diff("z") of an x-only polynomial is zero
@@ -369,6 +372,21 @@ def test_calculus_matches_reference(a):
     assert_same(p.diagonal(), rp.diagonal())
     assert_same(p.diff("x") + p.diff("z"), rp.diff("x") + rp.diff("z"))
     assert_same(_partial_sum(p), rp.diff("x") + rp.diff("z"))
+    assert_same_partial_sum(p)
+
+
+def assert_same_partial_sum(poly: BiPoly) -> None:
+    # The same denominator and anti-diagonal maps as the key-set pass that
+    # _partial_sum replaced, not only an equal polynomial, and no zero
+    # numerator or empty row left by the cancellation filter.
+    new, ref = _partial_sum(poly), partial_sum_keyset_reference(poly)
+    assert_canonical_layout(new)
+    assert new._den == ref._den and new._diags == ref._diags
+
+
+def test_partial_sum_matches_keyset_reference_on_built_polys():
+    for y in [*range(65), 128]:
+        assert_same_partial_sum(build_poly(y))
 
 
 def _row_ids(poly: BiPoly) -> set[int]:

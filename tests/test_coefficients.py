@@ -203,12 +203,14 @@ def test_row_length_and_indexing(m):
 
 
 def test_entries_between_half_and_top_vanish_to_order_200():
-    # A_r = 0 for (m-1)/2 < r < m, where 2r + 1 > m, and nowhere else.
+    # A_r = 0 for (m-1)/2 < r < m, where 2r + 1 > m, and nowhere else; every
+    # entry, the zeros included, is a Rational.
     for m in range(201):
         row = solve_coeffs(m)
         half = (m + 1) // 2
         assert row[half:m] == (0,) * (m - half), m
         assert all(row[:half]) and row[m], m
+        assert all(type(a) is Rational for a in row), m
 
 
 def test_coeff_vector_is_frozen():
