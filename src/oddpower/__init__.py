@@ -16,6 +16,7 @@ from .engine import (
     derivative_sum,
     eval_derivative_at,
 )
+from .parsing import PolyParseError, UnknownVariableError, parse_poly
 from .powersums import conv_sum, power_sum
 from .rationals import Rational, bernoulli
 
@@ -42,13 +43,3 @@ __all__ = [
     "render",
 ]
 
-
-def __getattr__(name: str):
-    # The parser compiles its regexes on import and no CLI subcommand reads
-    # text, so ``parsing`` is loaded on first use of one of its names.
-    if name in ("PolyParseError", "UnknownVariableError", "parse_poly"):
-        from . import parsing
-
-        value = globals()[name] = getattr(parsing, name)
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

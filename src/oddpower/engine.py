@@ -8,8 +8,11 @@ checked here is that the sum of its two partial derivatives, restricted to
 the diagonal, equals the ordinary derivative (2y+1) x^(2y) of that odd
 power.  All checks are symbolic zero-residual comparisons in exact
 arithmetic, which proves the identity for every real point at once rather
-than sampling it, and the diagonal check certifies the coefficient row and
-the assembly together.
+than sampling it.  The diagonal check certifies the coefficient row and
+the assembly on the diagonal z = x only: a polynomial that differs from
+f_y off the diagonal by a multiple of z (x - z) passes both checks, and
+nothing here yet ties f_y to its defining sum off that diagonal (ROADMAP
+item 10).
 
 The same diagonal serves evaluation: P(u, u) = P(x, x) at x = u for any
 polynomial P, so ``eval_derivative_at(y, u)`` evaluates the diagonal of the
@@ -22,7 +25,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .bipoly import BiPoly, _partial_sum
+from .bipoly import BiPoly, _as_rational, _partial_sum
 from .coefficients import solve_coeffs
 from .powersums import combine_conv_sums
 from .rationals import Rational
@@ -84,5 +87,6 @@ def eval_derivative_at(y: int, u: int | Rational) -> Rational:
     For any polynomial P, P(u, u) is the value at u of P(x, x), its
     diagonal, so only the one sum per total degree that ``diagonal()``
     forms is evaluated, at most 2y + 1 terms, not every term of the
-    partial sum."""
+    partial sum.  ``u`` is checked before the polynomial is built."""
+    u = _as_rational(u, "u")
     return derivative_sum(y).diagonal()(u, u)

