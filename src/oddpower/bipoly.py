@@ -235,15 +235,14 @@ class BiPoly:
 def _from_ints(den: int, diags: _Diagonals) -> BiPoly:
     """The polynomial with numerators ``diags``, in the layout of the module
     docstring, over ``den > 0``, both divided by their gcd once."""
-    if den != 1:
-        g = den
-        for row in diags.values():
-            g = gcd(g, *row.values())
-            if g == 1:
-                break
-        if g != 1:
-            den //= g
-            diags = {total: {dz: n // g for dz, n in row.items()} for total, row in diags.items()}
+    g = den
+    for row in diags.values():
+        if g == 1:
+            break
+        g = gcd(g, *row.values())
+    if g != 1:
+        den //= g
+        diags = {total: {dz: n // g for dz, n in row.items()} for total, row in diags.items()}
     poly = BiPoly.__new__(BiPoly)
     poly._den = den
     poly._diags = diags
@@ -273,15 +272,20 @@ def _from_fractions(terms: list[tuple[int, int, int, int]]) -> BiPoly:
 
 def _from_rows(rows: list[tuple[int, int, list[int]]]) -> BiPoly:
     """The polynomial sum_i x^i * sum_k (nums[k] / den) z^k over the
-    ``(i, den, nums)`` rows, one per x-degree ``i``, each ``den > 0`` and
-    each row reduced by its content.  The rows are written over the lcm of
-    their denominators, which is then already the reduced denominator, each
-    numerator of x^i z^k straight into the anti-diagonal i + k, one map
-    per anti-diagonal, and a row already over the lcm as it is."""
-    den = lcm(*(d for _, d, _ in rows))
-    width = max((i + len(nums) for i, _, nums in rows), default=0)
-    by_total: list[dict[int, int]] = [{} for _ in range(width)]  # deg_z -> numerator
+    ``(i, den, nums)`` rows of integers, one per x-degree ``i``, each
+    ``den > 0``.  Each row is divided by its content ``gcd(den, *nums)``,
+    so the lcm of the row denominators is the reduced denominator, and the
+    rows are written over it, each numerator of x^i z^k straight into the
+    anti-diagonal i + k, one map per anti-diagonal.  A row of content 1 is
+    not copied, and a row already over the lcm is not rescaled."""
+    reduced = []
     for i, d, nums in rows:
+        g = gcd(d, *nums)
+        reduced.append((i, d, nums) if g == 1 else (i, d // g, [n // g for n in nums]))
+    den = lcm(*(d for _, d, _ in reduced))
+    width = max((i + len(nums) for i, _, nums in reduced), default=0)
+    by_total: list[dict[int, int]] = [{} for _ in range(width)]  # deg_z -> numerator
+    for i, d, nums in reduced:
         if d != den:
             scale = den // d
             nums = [n * scale for n in nums]

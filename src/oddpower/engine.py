@@ -11,8 +11,7 @@ arithmetic, which proves the identity for every real point at once rather
 than sampling it.  The diagonal check certifies the coefficient row and
 the assembly on the diagonal z = x only: a polynomial that differs from
 f_y off the diagonal by a multiple of z (x - z) passes both checks, and
-nothing here yet ties f_y to its defining sum off that diagonal (ROADMAP
-item 10).
+nothing here yet ties f_y to its defining sum off that diagonal.
 
 The same diagonal serves evaluation: P(u, u) = P(x, x) at x = u for any
 polynomial P, so ``eval_derivative_at(y, u)`` evaluates the diagonal of the
@@ -28,7 +27,7 @@ from typing import NamedTuple
 from .bipoly import BiPoly, _as_rational, _partial_sum
 from .coefficients import solve_coeffs
 from .powersums import combine_conv_sums
-from .rationals import Rational
+from .rationals import Rational, _check_order
 
 __all__ = [
     "IdentityReport",
@@ -59,6 +58,7 @@ def build_poly(y: int) -> BiPoly:
     A = solve_coeffs(y).  Degree 2y + 1 in z and y in x; on the diagonal
     z = x it equals x^(2y+1) exactly.
     """
+    _check_order(y, "y")
     return combine_conv_sums(solve_coeffs(y))
 
 

@@ -9,8 +9,8 @@ expanding (x-k)^r binomially and replacing each inner power sum with its
 Faulhaber polynomial.  ``combine_conv_sums(row)`` is the one place that
 expansion happens: it assembles sum_r row[r] * H_r(x, z) for any
 coefficient row, as one integer row of Faulhaber numerators per x-degree,
-reduced by its content, and hands those rows to ``bipoly._from_rows``, the
-one place rows become a ``BiPoly``.  No bivariate product is formed.
+and hands those rows to ``bipoly._from_rows``, the one place rows become a
+``BiPoly``.  No bivariate product is formed.
 ``conv_sum(r)`` is the single H_r and the family builder
 ``engine.build_poly`` the combination with the solved row.  The polynomial
 reading is what gives these families meaning at non-integer arguments.
@@ -74,9 +74,8 @@ def combine_conv_sums(row: Sequence[int | Rational]) -> BiPoly:
     nonzero (see ``power_sum``): z^(p+1), z^(p-1), ... down to z^1 or z^2,
     where B_0 and the even B_j sit, and z^p, where B_1 sits, for p >= 1.
     The other degrees hold the odd B_j above B_1, which are 0, so no
-    coefficient is tested for zero.  The row is then reduced by its
-    content, and ``_from_rows`` writes the rows over the lcm of their
-    denominators.
+    coefficient is tested for zero.  ``_from_rows`` reduces the rows and
+    writes them over the lcm of their denominators.
     """
     y = len(row) - 1
     entries = []  # (r, numerator, denominator) of each nonzero row[r]
@@ -95,10 +94,7 @@ def combine_conv_sums(row: Sequence[int | Rational]) -> BiPoly:
                     num = -num
                 den = a_den * ps_den
                 g = gcd(num, den)
-                if g != 1:
-                    num //= g
-                    den //= g
-                parts.append((num, den, coeffs))
+                parts.append((num // g, den // g, coeffs))
         common = lcm(*(den for _, den, _ in parts))
         acc = [0] * (2 * y - i + 2)  # S_{2y-i} has degree 2y - i + 1
         for num, den, coeffs in parts:
@@ -108,10 +104,6 @@ def combine_conv_sums(row: Sequence[int | Rational]) -> BiPoly:
                 acc[k] += factor * coeffs[k]
             if p:
                 acc[p] += factor * coeffs[p]
-        g = gcd(common, *acc)
-        if g != 1:
-            common //= g
-            acc = [t // g for t in acc]
         rows.append((i, common, acc))
     return _from_rows(rows)
 

@@ -53,13 +53,12 @@ def bernoulli(n: int) -> Rational:
     returned at once, and the sum over j < n reads only the B_j that are not
     0: B_0, B_1 and the even j, each as an integer triple.  Each
     C(n+1, j) * B_j is written over the lcm L of their denominators, and
-    B_n = ((n+1) * L - sum) / ((n+1) * L) is the one ``Rational`` formed.
+    B_n = ((n+1) * L - sum) / ((n+1) * L) is the one ``Rational`` formed;
+    for n = 0 the sum is empty, L is 1 and B_0 = 1.
     Values are memoized; the cache is invisible to callers since every
     result is immutable.
     """
     _check_order(n, "n")
-    if n == 0:
-        return Rational(1)
     if n > 2 and n % 2 == 1:
         return Rational(0)
     terms = _nonzero_bernoulli_below(n)

@@ -20,7 +20,7 @@ from helpers import (
     render_plain_reference,
     traced_peak,
 )
-from oddpower.bipoly import BiPoly, _partial_sum, render
+from oddpower.bipoly import BiPoly, _from_rows, _partial_sum, render
 from oddpower.engine import build_poly, derivative_sum
 from oddpower.parsing import MAX_DEGREE, parse_poly
 from oddpower.rationals import Rational
@@ -373,6 +373,30 @@ def test_calculus_matches_reference(a):
     assert_same(p.diff("x") + p.diff("z"), rp.diff("x") + rp.diff("z"))
     assert_same(_partial_sum(p), rp.diff("x") + rp.diff("z"))
     assert_same_partial_sum(p)
+
+
+@st.composite
+def integer_rows(draw) -> list[tuple[int, int, list[int]]]:
+    """``(i, den, nums)`` rows with distinct x-degrees ``i``, ``den`` in
+    1..60 and numerators that are multiples of a divisor of ``den``, so the
+    rows often have content to reduce and denominators that share factors."""
+    rows = []
+    for i in draw(st.lists(st.integers(0, 6), unique=True, max_size=5)):
+        den = draw(st.integers(1, 60))
+        g = draw(st.sampled_from([d for d in range(1, den + 1) if den % d == 0]))
+        rows.append((i, den, [g * n for n in draw(st.lists(st.integers(-20, 20), max_size=6))]))
+    return rows
+
+
+@example(rows=[])
+@example(rows=[(0, 6, [1, 2]), (1, 3, [1])])  # row 0 is already over the lcm 6
+@example(rows=[(0, 12, [6, 4]), (2, 4, [2])])  # both rows have content 2
+@example(rows=[(0, 7, [0, 0]), (1, 3, [2])])  # an all-zero row
+@given(rows=integer_rows())
+def test_from_rows_matches_the_constructor(rows):
+    poly = _from_rows(rows)
+    assert_canonical_layout(poly)
+    assert poly == BiPoly({(i, k): Rational(n, den) for i, den, nums in rows for k, n in enumerate(nums)})
 
 
 def assert_same_partial_sum(poly: BiPoly) -> None:

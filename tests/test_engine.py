@@ -1,6 +1,7 @@
 """Family construction and the symbolic derivative identity."""
 
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -235,9 +236,24 @@ def test_one_reduced_denominator_after_every_operation():
     assert (build_poly(5) - build_poly(5))._den == 1
 
 
+# Each layer that takes an order, with the name its errors give the order.
+ORDER_LAYERS = [
+    (bernoulli, "n"),
+    (power_sum, "p"),
+    (conv_sum, "r"),
+    (solve_coeffs, "m"),
+    (build_poly, "y"),
+    (derivative_sum, "y"),
+    (check_diagonal, "y"),
+    (check_derivative_identity, "y"),
+    (partial(eval_derivative_at, u=1), "y"),
+]
+
+
 def test_negative_order_rejected():
-    with pytest.raises(ValueError):
-        build_poly(-1)
+    for layer, name in ORDER_LAYERS:
+        with pytest.raises(ValueError, match=f"^{name} must be non-negative, got -1$"):
+            layer(-1)
 
 
 def test_build_poly_is_cached():
@@ -245,17 +261,17 @@ def test_build_poly_is_cached():
 
 
 @pytest.mark.parametrize(
-    "layer",
-    [bernoulli, power_sum, conv_sum, solve_coeffs, build_poly, derivative_sum, check_diagonal],
-    ids=lambda fn: fn.__name__,
+    "layer, name",
+    ORDER_LAYERS,
+    ids=[getattr(fn, "func", fn).__name__ for fn, _ in ORDER_LAYERS],
 )
-def test_non_int_order_rejected_after_warm_int_call(layer):
+def test_non_int_order_rejected_after_warm_int_call(layer, name):
     # An order is a plain int whatever the cache holds: 2.0 and True hash and
     # compare equal to 2 and 1, so an untyped cache would hand them the int entry.
     layer(2)
     layer(1)
     for bad in (2.0, True):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match=f"^{name} must be an int, got {type(bad).__name__}$"):
             layer(bad)
 
 
