@@ -3,7 +3,9 @@
 ``power_sum(p)`` is the polynomial in z that agrees with sum_{k=1..z} k^p at
 every non-negative integer z, obtained from Faulhaber's formula.  It is
 univariate, so it is returned as one integer row over one denominator, in
-FLINT's ``fmpq_poly`` form, not as a ``BiPoly``.  The convolved sum
+FLINT's ``fmpq_poly`` form, not as a ``BiPoly``: the row
+``rationals._faulhaber_row(p)``, whose z^1 entry is B_p, divided by its
+content.  The convolved sum
 H_r(x, z) = sum_{k=1..z} k^r (x-k)^r extends to a polynomial in x and z by
 expanding (x-k)^r binomially and replacing each inner power sum with its
 Faulhaber polynomial.  ``combine_conv_sums(row)`` is the one place that
@@ -23,7 +25,7 @@ from math import comb, gcd, lcm
 from typing import Sequence
 
 from .bipoly import BiPoly, _as_rational, _from_rows
-from .rationals import Rational, _check_order, _nonzero_bernoulli_below
+from .rationals import Rational, _check_order, _faulhaber_row
 
 __all__ = ["power_sum", "conv_sum", "combine_conv_sums"]
 
@@ -39,24 +41,17 @@ def power_sum(p: int) -> tuple[int, tuple[int, ...]]:
         S_p(z) = (1/(p+1)) * sum_{j=0..p} C(p+1, j) * B_j * z^(p+1-j)
 
     The +1/2 convention makes the closed form inclusive of the upper bound z,
-    so S_p(n) really is 1^p + ... + n^p for integer n >= 1.  Only B_0, B_1
-    and the even-index B_j are not 0, so the sum runs over those alone and
-    the nonzero degrees are z^(p+1), z^(p-1), z^(p-3), ... down to z^1 or
-    z^2, and z^p for p >= 1; every other coefficient, z^0 included, is 0.
-    The terms are written over (p + 1) times the lcm of the denominators of
-    those B_j, divided by their content, and each numerator is written
-    straight to its degree.
+    so S_p(n) really is 1^p + ... + n^p for integer n >= 1.  The row is
+    ``rationals._faulhaber_row(p)``, the same integer row whose z^1 entry is
+    B_p, divided here by its content.  Only B_0, B_1 and the even-index B_j
+    are not 0, so the nonzero degrees are z^(p+1), z^(p-1), z^(p-3), ...
+    down to z^1 or z^2, and z^p for p >= 1; every other coefficient, z^0
+    included, is 0.
     """
     _check_order(p, "p")
-    terms = _nonzero_bernoulli_below(p + 1)
-    common = lcm(*(d for _, _, d in terms))
-    nums = [(j, comb(p + 1, j) * num * (common // d)) for j, num, d in terms]
-    den = (p + 1) * common
-    g = gcd(den, *(n for _, n in nums))
-    coeffs = [0] * (p + 2)
-    for j, n in nums:
-        coeffs[p + 1 - j] = n // g  # B_j goes with z^(p+1-j)
-    return den // g, tuple(coeffs)
+    den, nums = _faulhaber_row(p)
+    g = gcd(den, *nums)
+    return den // g, tuple(n // g for n in nums)
 
 
 def combine_conv_sums(row: Sequence[int | Rational]) -> BiPoly:

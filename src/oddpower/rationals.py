@@ -9,6 +9,12 @@ arithmetic is exact at arbitrary precision.  Division by zero raises
 ``ZeroDivisionError``.  Inner loops do not add ``Rational`` values one by
 one: they sum integer numerators over a common denominator and form one
 ``Rational`` (or, in ``BiPoly``, one reduced denominator) at the end.
+
+The recurrence that defines the Bernoulli numbers is S_n(1) = 1 for the
+Faulhaber power sum S_n(z), in which B_n is the coefficient of z^1.  So
+``_faulhaber_row(n)`` is the one place the products C(n+1, j) * B_j are
+formed: ``bernoulli(n)`` reads B_n off its z^1 entry and
+``powersums.power_sum(n)`` reduces the whole row.
 """
 
 from __future__ import annotations
@@ -31,37 +37,49 @@ def _check_order(value: int, name: str) -> None:
         raise ValueError(f"{name} must be non-negative, got {value}")
 
 
-def _nonzero_bernoulli_below(n: int) -> list[tuple[int, int, int]]:
-    """``(j, numerator, denominator)`` of each B_j with j < n that is not 0:
-    B_0, B_1 and the even-index B_j, read once each.  The odd B_j above B_1
-    are 0, which the tests check against the recurrence with no shortcut."""
-    return [(j, (b := bernoulli(j)).numerator, b.denominator)
-            for j in (*range(min(n, 2)), *range(2, n, 2))]
+def _faulhaber_row(p: int) -> tuple[int, list[int]]:
+    """The unreduced integer row ``(den, nums)`` of the Faulhaber polynomial
+    S_p(z) (see ``powersums.power_sum``): ``nums[k] / den`` is the
+    coefficient of z^k for k = 0..p + 1.
+
+    Each B_j with j < p that is not 0 (B_0, B_1 and the even j; the odd B_j
+    above B_1 are 0, which the tests check against the recurrence with no
+    shortcut) is read once, and C(p+1, j) * B_j goes to degree p + 1 - j
+    over den = (p + 1) * L, with L the lcm of their denominators.  B_p goes
+    with z^1, and S_p(1) = 1, the recurrence that defines B_p, fixes it:
+    ``nums[1] = den - sum(nums)``.  So L leaves out B_p's own denominator.
+    """
+    terms = [(j, (b := bernoulli(j)).numerator, b.denominator)
+             for j in (*range(min(p, 2)), *range(2, p, 2))]
+    common = lcm(*(d for _, _, d in terms))
+    den = (p + 1) * common
+    nums = [0] * (p + 2)
+    for j, num, d in terms:
+        nums[p + 1 - j] = comb(p + 1, j) * num * (common // d)
+    nums[1] = den - sum(nums)
+    return den, nums
 
 
 @lru_cache(maxsize=None, typed=True)
 def bernoulli(n: int) -> Rational:
     """Bernoulli number B_n under the convention B_1 = +1/2.
 
-    Computed from the recurrence
+    Defined by the recurrence
 
         sum_{j=0..n} C(n+1, j) * B_j = n + 1
 
     which pins B_1 to +1/2.  With this sign choice the power-sum polynomial
     assembled from these numbers includes its upper summation bound, so no
-    correction term is needed downstream.  B_n is 0 for odd n > 1, so it is
-    returned at once, and the sum over j < n reads only the B_j that are not
-    0: B_0, B_1 and the even j, each as an integer triple.  Each
-    C(n+1, j) * B_j is written over the lcm L of their denominators, and
-    B_n = ((n+1) * L - sum) / ((n+1) * L) is the one ``Rational`` formed;
-    for n = 0 the sum is empty, L is 1 and B_0 = 1.
+    correction term is needed downstream.  The recurrence is S_n(1) = 1 for
+    the Faulhaber polynomial S_n, in which B_n is the coefficient of z^1, so
+    B_n is read off the z^1 entry of ``_faulhaber_row(n)``, the one
+    ``Rational`` formed; for n = 0 the row is (1, [0, 1]) and B_0 = 1.
+    B_n is 0 for odd n > 1, so it is returned at once.
     Values are memoized; the cache is invisible to callers since every
     result is immutable.
     """
     _check_order(n, "n")
     if n > 2 and n % 2 == 1:
         return Rational(0)
-    terms = _nonzero_bernoulli_below(n)
-    den = lcm(*(d for _, _, d in terms))
-    acc = sum(comb(n + 1, j) * num * (den // d) for j, num, d in terms)
-    return Rational((n + 1) * den - acc, (n + 1) * den)
+    den, nums = _faulhaber_row(n)
+    return Rational(nums[1], den)

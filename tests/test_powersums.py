@@ -1,5 +1,6 @@
 """Closed-form power sums and convolved sums against literal summation."""
 
+import sys
 from math import factorial
 
 import pytest
@@ -18,7 +19,7 @@ from helpers import (
 from oddpower.bipoly import BiPoly
 from oddpower.coefficients import solve_coeffs
 from oddpower.powersums import combine_conv_sums, conv_sum, power_sum
-from oddpower.rationals import Rational
+from oddpower.rationals import Rational, bernoulli
 
 
 def test_small_power_sums():
@@ -76,6 +77,54 @@ def test_power_sum_nonzero_degrees_to_degree_400():
         _, coeffs = power_sum(p)
         expected = {*range(p + 1, 0, -2), *([p] if p else [])}
         assert {k for k, c in enumerate(coeffs) if c} == expected, p
+
+
+@pytest.mark.parametrize("first", ["power_sum", "bernoulli"])
+def test_power_sum_z1_entry_is_bernoulli(first):
+    # S_p(1) = 1 is the recurrence that defines B_p, the z^1 coefficient of
+    # S_p.  A cold power_sum(p) does not go through bernoulli(p), so the
+    # order in which the two caches fill must not matter.
+    bernoulli.cache_clear()
+    power_sum.cache_clear()
+    if first == "power_sum":
+        rows = [power_sum(p) for p in range(401)]
+        values = [bernoulli(p) for p in range(401)]
+    else:
+        values = [bernoulli(p) for p in range(401)]
+        rows = [power_sum(p) for p in range(401)]
+    for p, ((den, coeffs), b) in enumerate(zip(rows, values)):
+        assert Rational(coeffs[1], den) == b, p
+
+
+def _recursion_depth():
+    """The interpreter's count of the calls this one runs under, which can
+    exceed the frame count where C code calls Python (pytest's hooks do):
+    ``sys.setrecursionlimit`` accepts no limit at or below it."""
+    limit, depth = sys.getrecursionlimit(), 1
+    while True:
+        try:
+            sys.setrecursionlimit(depth + 1)
+        except RecursionError:
+            depth += 1
+        else:
+            sys.setrecursionlimit(limit)
+            return depth
+
+
+def test_cold_bernoulli_and_power_sum_recurse_a_few_frames():
+    # Each B_j reads only B_i with i < j, already cached when the row loop
+    # reaches j, so a cold call never recurses more than a few frames deep.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_recursion_depth() + 12)
+    try:
+        bernoulli.cache_clear()
+        power_sum.cache_clear()
+        b = bernoulli(400)
+        bernoulli.cache_clear()
+        den, coeffs = power_sum(400)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert Rational(coeffs[1], den) == b
 
 
 def test_shift_z_examples():
