@@ -19,7 +19,11 @@ partial derivative moves each anti-diagonal down by one, so
 hand the terms of both operands to :func:`_from_fractions`, the term sum of
 the constructor.  All of these and evaluation work on the integer
 numerators, over the least common multiple of the operands' denominators,
-and reduce each result once by one gcd.  There is no product:
+and reduce each result once by one gcd.  Evaluation keeps its powers and
+its one row per x-degree in maps keyed by the degrees the terms hold, so a
+term of degree 10^7 costs one entry, not a table of 10^7 slots; the top
+degrees it needs are read off those maps, and ``BiPoly`` has no degree
+methods.  There is no product:
 ``powersums.combine_conv_sums`` assembles the family as one integer row per
 x-degree, and :func:`_from_rows` is the one place such rows become a
 ``BiPoly``, so no other module reads the layout.
@@ -132,12 +136,6 @@ class BiPoly:
             for dz in sorted(row):
                 yield total - dz, dz, Rational(row[dz], den)
 
-    def degree_x(self) -> int:
-        return max((total - min(row) for total, row in self._diags.items()), default=-1)
-
-    def degree_z(self) -> int:
-        return max((max(row) for row in self._diags.values()), default=-1)
-
     # -- addition and subtraction ------------------------------------------
 
     def __add__(self, other: BiPoly | CoefficientLike) -> BiPoly:
@@ -180,24 +178,25 @@ class BiPoly:
             sum_i a^i b^(I-i) * sum_j N_ij * c^j d^(J-j)  /  (D * b^I * d^J),
 
         summed on integers, one row per x-degree, and reduced once.  The
-        powers are formed only for the degrees the terms hold; the tables
-        indexed by degree hold a zero elsewhere, so the cost follows the
-        terms, not the square of the degrees.
+        powers of z are kept for the z-degrees the terms hold, the rows for
+        the x-degrees they hold, and the powers of x for the rows that do
+        not sum to zero, each in a table keyed by degree, so both time and
+        memory follow the terms, not the degrees.
         """
         x_val = _as_rational(x_val, "x")
         z_val = _as_rational(z_val, "z")
         diags = self._diags
         if not diags:
             return Rational(0)
-        top_x, top_z = self.degree_x(), self.degree_z()
-        z_pow = [0] * (top_z + 1)
-        for j, power in _scaled_powers(z_val, sorted(set().union(*diags.values())), top_z):
-            z_pow[j] = power
-        rows = [0] * (top_x + 1)
+        z_degrees = sorted(set().union(*diags.values()))
+        top_z = z_degrees[-1]
+        z_pow = dict(_scaled_powers(z_val, z_degrees, top_z))
+        rows: dict[int, int] = {}
         for total, row in diags.items():
             for dz, num in row.items():
-                rows[total - dz] += num * z_pow[dz]
-        present = [i for i, row in enumerate(rows) if row]
+                rows[total - dz] = rows.get(total - dz, 0) + num * z_pow[dz]
+        top_x = max(rows)
+        present = sorted(i for i, row in rows.items() if row)
         value = sum(rows[i] * power for i, power in _scaled_powers(x_val, present, top_x))
         return Rational(value, self._den * x_val.denominator**top_x * z_val.denominator**top_z)
 

@@ -176,7 +176,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _discard_stdout() -> None:
-    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 def _attach_negative_points(argv: list[str]) -> list[str]:

@@ -49,7 +49,8 @@ JSON term list written from its ``Fraction`` coefficients by ``json.dumps``.
 ``first_failure_reference`` is the oracle loop that sums every n up to
 ``n_max``, which ``first_failure`` replaced by one that stops at the degree
 bound of its row.  ``traced_peak`` runs a computation under ``tracemalloc``
-for the memory bounds.
+for the memory bounds.  ``degrees`` reads a polynomial's degrees in x and z
+off its terms.
 """
 
 from __future__ import annotations
@@ -348,6 +349,13 @@ def assert_canonical_layout(poly: BiPoly) -> None:
         assert all(type(dz) is int and 0 <= dz <= total for dz in row), (total, row)
         assert all(type(n) is int and n for n in row.values()), (total, row)
     assert gcd(den, *(n for row in diags.values() for n in row.values())) == 1
+
+
+def degrees(poly: BiPoly) -> tuple[int, int]:
+    """The largest x-degree and the largest z-degree among the terms of
+    ``poly``, each ``-1`` for the zero polynomial."""
+    terms = list(poly.terms())
+    return max((dx for dx, _, _ in terms), default=-1), max((dz for _, dz, _ in terms), default=-1)
 
 
 def traced_peak(compute):

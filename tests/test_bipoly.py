@@ -12,6 +12,7 @@ from helpers import (
     SUM1,
     ReferenceBiPoly,
     assert_canonical_layout,
+    degrees,
     diagonal_reference,
     eval_reference,
     partial_sum_keyset_reference,
@@ -245,9 +246,8 @@ def test_terms_canonical_order():
 
 
 def test_degrees():
-    assert F2.degree_x() == 2
-    assert F2.degree_z() == 5
-    assert BiPoly().degree_x() == BiPoly().degree_z() == -1
+    assert degrees(F2) == (2, 5)
+    assert degrees(BiPoly()) == (-1, -1)
 
 
 def test_str_matches_reference_display():
@@ -463,7 +463,7 @@ def test_inspection_and_equality_match_reference(a, b, s):
     if p == q:
         assert hash(p) == hash(q)
     assert hash(BiPoly.constant(s)) == hash(Rational(s)) == hash(ReferenceBiPoly({(0, 0): s}))
-    if p.degree_x() <= 0 and p.degree_z() <= 0:
+    if max(degrees(p)) <= 0:
         assert p == p.coefficient(0, 0) and hash(p) == hash(p.coefficient(0, 0))
     rebuilt = BiPoly([((dx, dz), c) for dx, dz, c in reversed(list(p.terms()))])
     assert rebuilt == p and hash(rebuilt) == hash(p)
@@ -492,6 +492,16 @@ def test_evaluation_forms_only_the_powers_of_present_degrees():
     value, peak = traced_peak(lambda: poly(u, v))
     assert value == u**4000 * v**4000
     assert peak <= 2 * 2**20
+
+
+@pytest.mark.parametrize("x", [1, -1])
+def test_evaluation_tables_hold_only_present_degrees(x):
+    # Two tables with a slot for every degree up to 10^6 would hold about
+    # 16 MB; the tables keyed by the two terms' degrees hold a few entries.
+    poly = BiPoly.monomial(10**6, 0) + BiPoly.monomial(0, 10**6)
+    value, peak = traced_peak(lambda: poly(x, 1))
+    assert value == 2
+    assert peak < 2**20
 
 
 def test_render_spells_only_the_exponents_used():

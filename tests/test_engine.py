@@ -15,6 +15,7 @@ from helpers import (
     assert_canonical_layout,
     assert_reduced_row,
     build_poly_from_conv_sums,
+    degrees,
     diagonal_reference,
     eval_reference,
     traced_peak,
@@ -61,9 +62,7 @@ def test_direct_assembly_matches_conv_sum_builder_above_order_64(y):
 
 @pytest.mark.parametrize("y", range(8))
 def test_degrees(y):
-    poly = build_poly(y)
-    assert poly.degree_x() == y
-    assert poly.degree_z() == 2 * y + 1
+    assert degrees(build_poly(y)) == (y, 2 * y + 1)
 
 
 @pytest.mark.parametrize("y", range(1, 8))
