@@ -13,12 +13,12 @@ from .engine import (
     build_poly,
     check_derivative_identity,
     check_diagonal,
+    conv_sum,
     derivative_sum,
     eval_derivative_at,
 )
 from .parsing import PolyParseError, UnknownVariableError, parse_poly
-from .powersums import conv_sum, power_sum
-from .rationals import Rational, bernoulli
+from .rationals import Rational, bernoulli, power_sum
 
 __version__ = "0.1.0"
 
@@ -31,15 +31,15 @@ __all__ = [
     "build_poly",
     "check_derivative_identity",
     "check_diagonal",
+    "conv_sum",
     "derivative_sum",
     "eval_derivative_at",
     "PolyParseError",
     "UnknownVariableError",
     "parse_poly",
-    "conv_sum",
-    "power_sum",
     "Rational",
     "bernoulli",
+    "power_sum",
     "render",
 ]
 

@@ -24,7 +24,7 @@ its one row per x-degree in maps keyed by the degrees the terms hold, so a
 term of degree 10^7 costs one entry, not a table of 10^7 slots; the top
 degrees it needs are read off those maps, and ``BiPoly`` has no degree
 methods.  There is no product:
-``powersums.combine_conv_sums`` assembles the family as one integer row per
+``engine._combine_conv_sums`` assembles the family as one integer row per
 x-degree, and :func:`_from_rows` is the one place such rows become a
 ``BiPoly``, so no other module reads the layout.
 ``Rational`` coefficients appear only at the API edge: construction,

@@ -36,7 +36,7 @@ naming the OS error, no traceback), 130
 interrupted by Ctrl-C (SIGINT; ``interrupted`` is printed to
 stderr, with no traceback), 141 stdout was closed before the output was
 written (as in ``oddpower poly 64 | head``; nothing is printed to stderr).
-Orders above 64 are refused unless --allow-large is given, to keep
+Orders above 128 are refused unless --allow-large is given, to keep
 accidental runtimes in check.
 """
 
@@ -51,7 +51,7 @@ from .bipoly import FORMATS, BiPoly, render
 from .coefficients import first_failure, solve_coeffs
 from .rationals import Rational
 
-MAX_ORDER = 64
+MAX_ORDER = 128
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, what a shell reports for a program stopped by Ctrl-C
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer killed by the signal
 

@@ -15,7 +15,7 @@ direct builder replaced; the differential tests hold the two routes equal.
 ``power_sum_reference`` is the ``Fraction``-per-coefficient Faulhaber loop
 that the integer row ``power_sum`` replaced, and ``conv_sum_reference`` the
 separate ``H_r`` expansion, from those reference power sums, that the shared
-``combine_conv_sums`` loop replaced.  ``combine_conv_sums_loop_reference``
+``_combine_conv_sums`` loop replaced.  ``combine_conv_sums_loop_reference``
 is that loop visiting every coefficient of each power sum and skipping the
 zeros, which the walk over the degrees that can be nonzero replaced; it
 builds its result with the ``BiPoly`` constructor.  ``row_poly`` wraps a
@@ -65,9 +65,9 @@ from typing import Iterable, Iterator, Mapping
 
 from oddpower.bipoly import BiPoly, _as_rational, _from_ints
 from oddpower.coefficients import solve_coeffs
+from oddpower.engine import conv_sum
 from oddpower.parsing import MAX_DEGREE, PolyParseError, UnknownVariableError, _refuse, parse_poly
-from oddpower.powersums import conv_sum, power_sum
-from oddpower.rationals import Rational, bernoulli
+from oddpower.rationals import Rational, bernoulli, power_sum
 
 CORPUS = Path(__file__).resolve().parent / "reference_fixtures.txt"
 _ENTRY_RE = re.compile(r'^"(?P<name>[^"]+)"\s+"[^"]*"\s*:=\s*(?P<expr>.+)$')

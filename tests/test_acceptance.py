@@ -16,9 +16,8 @@ from helpers import F1, F2, F3, load_corpus, random_bipoly, random_rational, sca
 from oddpower.bipoly import BiPoly
 from oddpower.cli import main
 from oddpower.coefficients import solve_coeffs
-from oddpower.engine import build_poly, derivative_sum, eval_derivative_at
+from oddpower.engine import build_poly, conv_sum, derivative_sum, eval_derivative_at
 from oddpower.parsing import parse_poly
-from oddpower.powersums import conv_sum
 from oddpower.rationals import Rational
 
 SEED = 20250823

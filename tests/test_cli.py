@@ -469,7 +469,7 @@ def test_oracle_failure_exits_one(capsys, monkeypatch):
 
 
 def test_large_order_refused(capsys):
-    code, out, err = run(capsys, "poly", "65")
+    code, out, err = run(capsys, "poly", "129")
     assert code == 2
     assert out == ""
     assert "soft limit" in err and "--allow-large" in err
@@ -478,34 +478,34 @@ def test_large_order_refused(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["coeffs", "65"],
-        ["poly", "65"],
-        ["diff", "65", "--var", "x"],
-        ["eval", "65", "--at", "1"],
-        ["verify", "--max-y", "65"],
-        ["oracle", "65"],
+        ["coeffs", "129"],
+        ["poly", "129"],
+        ["diff", "129", "--var", "x"],
+        ["eval", "129", "--at", "1"],
+        ["verify", "--max-y", "129"],
+        ["oracle", "129"],
     ],
     ids=["coeffs", "poly", "diff", "eval", "verify", "oracle"],
 )
 def test_every_subcommand_refuses_a_large_order(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err == "error: order 65 exceeds the soft limit 64; pass --allow-large to override\n"
+    assert err == "error: order 129 exceeds the soft limit 128; pass --allow-large to override\n"
 
 
 def test_large_order_allowed_with_flag(capsys):
-    code, out, _ = run(capsys, "coeffs", "65", "--allow-large")
+    code, out, _ = run(capsys, "coeffs", "129", "--allow-large")
     assert code == 0
-    assert len(out.split()) == 66
+    assert len(out.split()) == 130
 
 
 def test_boundary_order_needs_no_flag(capsys):
-    code, _, _ = run(capsys, "coeffs", "64")
+    code, _, _ = run(capsys, "coeffs", "128")
     assert code == 0
 
 
 def test_verify_guard_applies_to_max_y(capsys):
-    code, _, err = run(capsys, "verify", "--max-y", "100")
+    code, _, err = run(capsys, "verify", "--max-y", "200")
     assert code == 2
     assert "soft limit" in err
 

@@ -16,7 +16,7 @@ from helpers import (
 from oddpower.bipoly import BiPoly
 import oddpower.coefficients as coefficients
 from oddpower.coefficients import first_failure, solve_coeffs, verify_identity
-from oddpower.powersums import conv_sum
+from oddpower.engine import conv_sum
 from oddpower.rationals import Rational
 
 

@@ -26,12 +26,12 @@ from oddpower.engine import (
     build_poly,
     check_derivative_identity,
     check_diagonal,
+    conv_sum,
     derivative_sum,
     eval_derivative_at,
 )
 from oddpower.parsing import parse_poly
-from oddpower.powersums import conv_sum, power_sum
-from oddpower.rationals import Rational, bernoulli
+from oddpower.rationals import Rational, bernoulli, power_sum
 
 
 def test_order_zero_is_plain_count():
@@ -122,7 +122,7 @@ def test_diagonal_sums_small_orders():
 
 def test_derivative_sum_is_partial_sum():
     # The one-pass sum against the two partials added with +, the path it
-    # replaced, over every order within the CLI's soft limit.
+    # replaced.
     for y in range(65):
         poly = build_poly(y)
         assert derivative_sum(y) == poly.diff("x") + poly.diff("z")

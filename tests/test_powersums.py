@@ -19,8 +19,8 @@ from helpers import (
 )
 from oddpower.bipoly import BiPoly
 from oddpower.coefficients import solve_coeffs
-from oddpower.powersums import combine_conv_sums, conv_sum, power_sum
-from oddpower.rationals import Rational, bernoulli
+from oddpower.engine import _combine_conv_sums, conv_sum
+from oddpower.rationals import Rational, bernoulli, power_sum
 
 
 def test_small_power_sums():
@@ -73,7 +73,7 @@ def test_power_sum_matches_reference_to_degree_200():
 def test_power_sum_nonzero_degrees_to_degree_400():
     # B_j goes with z^(p+1-j), and only B_0, B_1 and the even B_j are nonzero
     # (bernoulli matches the recurrence with no odd-index shortcut to 400), so
-    # these are the only degrees combine_conv_sums reads.
+    # these are the only degrees _combine_conv_sums reads.
     for p in range(401):
         _, coeffs = power_sum(p)
         expected = {*range(p + 1, 0, -2), *([p] if p else [])}
@@ -206,11 +206,11 @@ def test_combine_conv_sums_matches_scaled_conv_sums(row):
     expected = BiPoly()
     for r, a in enumerate(row):
         expected = expected + scale(conv_sum_reference(r), a)
-    assert combine_conv_sums(row) == expected
+    assert _combine_conv_sums(row) == expected
 
 
 def assert_matches_loop_reference(row):
-    poly, expected = combine_conv_sums(row), combine_conv_sums_loop_reference(row)
+    poly, expected = _combine_conv_sums(row), combine_conv_sums_loop_reference(row)
     assert poly == expected, row
     assert str(poly) == str(expected), row
 
@@ -233,4 +233,4 @@ def test_combine_conv_sums_matches_loop_reference(row):
 @pytest.mark.parametrize("row", [[1.5], [0.0, 1], [True], ["a"]], ids=repr)
 def test_combine_conv_sums_rejects_non_rational_entries(row):
     with pytest.raises(TypeError, match="row entry must be int or Rational"):
-        combine_conv_sums(row)
+        _combine_conv_sums(row)

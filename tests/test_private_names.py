@@ -15,7 +15,9 @@ The few names and methods kept for library callers alone are listed in
 
 Only ``bipoly.py`` knows how a ``BiPoly`` stores its numerators: no other
 package module reads the attribute ``_den`` or ``_diags`` or imports
-``_from_ints``, so a change of layout stays inside that one file.
+``_from_ints``, so a change of layout stays inside that one file.  Likewise
+only ``rationals.py`` names ``_faulhaber_row``, the Faulhaber row that
+``bernoulli`` and ``power_sum`` both read.
 
 An AST walk cannot tell who reads an operator (``a * b`` reads the same on
 two ``int`` as on two ``BiPoly``), so the dunders of ``BiPoly`` are checked by
@@ -132,6 +134,19 @@ def test_only_bipoly_reads_the_layout():
     inside = [r for r in readers if r.startswith("bipoly.py:")]
     assert inside, "no layout reads found; is the package path right?"
     assert [r for r in readers if r not in inside] == []
+
+
+def test_only_rationals_names_the_faulhaber_row():
+    # bernoulli and power_sum both read the row, so both live beside it.
+    namers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if "_faulhaber_row" in (getattr(node, key, None) for key in ("id", "attr", "name"))
+    ]
+    inside = [n for n in namers if n.startswith("rationals.py:")]
+    assert inside, "no _faulhaber_row found; is the package path right?"
+    assert [n for n in namers if n not in inside] == []
 
 
 def _modules() -> list:

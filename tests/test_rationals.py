@@ -113,7 +113,8 @@ def test_bernoulli_defining_recurrence():
 
 def test_bernoulli_matches_fraction_recurrence():
     # Every B_n that verify --max-y 128 reads (power sums up to S_257), and
-    # the power sums to S_400, whose nonzero degrees test_powersums pins.
+    # those of rationals.power_sum to S_400, whose nonzero degrees
+    # test_powersums pins.
     reference = bernoulli_reference(400)
     assert [bernoulli(n) for n in range(401)] == reference
     assert all(type(bernoulli(n)) is Rational for n in range(401))
