@@ -27,6 +27,13 @@ The same diagonal serves evaluation: P(u, u) = P(x, x) at x = u for any
 polynomial P, so ``eval_derivative_at(y, u)`` evaluates the diagonal of the
 partial sum, at most 2y + 1 sums and products, not the two-variable sum
 over its terms.
+
+What is kept: ``conv_sum`` and ``build_poly`` keep every order asked for.
+``derivative_sum`` keeps only the latest partial sum (3,760 terms at
+y = 64), since every caller but evaluation reads a partial sum once per
+order.  Evaluation reads the partial sum's diagonal again and again, so
+``_derivative_diagonal`` keeps each order's diagonal, one term when the
+identity holds.  Only its own ``cache_clear()`` drops those diagonals.
 """
 
 from __future__ import annotations
@@ -135,11 +142,20 @@ def build_poly(y: int) -> BiPoly:
     return _combine_conv_sums(solve_coeffs(y))
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=1, typed=True)
 def derivative_sum(y: int) -> BiPoly:
     """Sum of the two partial derivatives of build_poly(y), formed in one
-    pass over its terms."""
+    pass over its terms.  Only the latest one is kept: a call for another
+    order drops it, so the cache holds at most one partial sum."""
     return _partial_sum(build_poly(y))
+
+
+@lru_cache(maxsize=None, typed=True)
+def _derivative_diagonal(y: int) -> BiPoly:
+    """The diagonal of derivative_sum(y), kept for every order asked for:
+    the one polynomial ``eval_derivative_at`` reads, a single term
+    (2y+1) x^(2y) when the identity holds."""
+    return derivative_sum(y).diagonal()
 
 
 def check_diagonal(y: int) -> bool:
@@ -149,7 +165,10 @@ def check_diagonal(y: int) -> bool:
 
 def check_derivative_identity(y: int) -> IdentityReport:
     """Symbolically verify that the partial sum on the diagonal is the
-    ordinary derivative (2y+1) x^(2y) of the odd power."""
+    ordinary derivative (2y+1) x^(2y) of the odd power.  The diagonal is
+    taken from ``derivative_sum(y)`` at each call, not from the diagonals
+    evaluation keeps, so clearing ``build_poly`` and ``derivative_sum``
+    is enough for a fresh check."""
     residual = derivative_sum(y).diagonal() - BiPoly.monomial(2 * y, 0, 2 * y + 1)
     return IdentityReport(y=y, residual=residual, holds=not residual)
 
@@ -160,6 +179,9 @@ def eval_derivative_at(y: int, u: int | Rational) -> Rational:
     For any polynomial P, P(u, u) is the value at u of P(x, x), its
     diagonal, so only the one sum per total degree that ``diagonal()``
     forms is evaluated, at most 2y + 1 terms, not every term of the
-    partial sum.  ``u`` is checked before the polynomial is built."""
+    partial sum.  That diagonal is the cached ``_derivative_diagonal(y)``,
+    taken from the partial sum itself, so a second call for the same order
+    forms no partial sum.  ``u`` is checked before the polynomial is
+    built."""
     u = _as_rational(u, "u")
-    return derivative_sum(y).diagonal()(u, u)
+    return _derivative_diagonal(y)(u, u)

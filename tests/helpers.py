@@ -48,13 +48,15 @@ JSON term list written from its ``Fraction`` coefficients by ``json.dumps``.
 ``oddpower coeffs <m> --format json`` writes with f-strings.
 ``first_failure_reference`` is the oracle loop that sums every n up to
 ``n_max``, which ``first_failure`` replaced by one that stops at the degree
-bound of its row.  ``traced_peak`` runs a computation under ``tracemalloc``
-for the memory bounds.  ``degrees`` reads a polynomial's degrees in x and z
-off its terms.
+bound of its row.  ``traced_peak`` and ``traced_retained`` run a
+computation under ``tracemalloc`` for the memory bounds: the most it held
+at once, and what it still holds once it returns.  ``degrees`` reads a
+polynomial's degrees in x and z off its terms.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 import re
@@ -366,6 +368,19 @@ def traced_peak(compute):
         before = tracemalloc.get_traced_memory()[0]
         result = compute()
         return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def traced_retained(compute):
+    """``compute()`` and the memory it allocated that is still held once it
+    has returned and garbage has been collected, in bytes."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = compute()
+        gc.collect()
+        return result, tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
 

@@ -356,13 +356,16 @@ def test_verify_failure_names_first_residual_term(capsys, monkeypatch):
     row = real(2)
     corrupted = (row[0], row[1], row[2] + Rational(1, 2))
     monkeypatch.setattr(engine, "solve_coeffs", lambda m: corrupted if m == 2 else real(m))
-    engine.build_poly.cache_clear()
-    engine.derivative_sum.cache_clear()
+    # Every cache that could keep a result of the corrupted row, eval's kept
+    # diagonals too, is cleared before and after.
+    caches = (engine.build_poly, engine.derivative_sum, engine._derivative_diagonal)
+    for cached in caches:
+        cached.cache_clear()
     try:
         code, out, _ = run(capsys, "verify", "--max-y", "3")
     finally:
-        engine.build_poly.cache_clear()
-        engine.derivative_sum.cache_clear()
+        for cached in caches:
+            cached.cache_clear()
     assert code == 1
     assert out.splitlines() == [
         " y  diagonal  derivative  overall",

@@ -19,7 +19,9 @@ from helpers import (
     diagonal_reference,
     eval_reference,
     traced_peak,
+    traced_retained,
 )
+import oddpower.engine as engine
 from oddpower.bipoly import BiPoly
 from oddpower.coefficients import solve_coeffs
 from oddpower.engine import (
@@ -177,16 +179,62 @@ def test_eval_reads_only_the_diagonal():
     assert peak <= 2**20
 
 
+def test_engine_keeps_one_partial_sum_and_each_diagonal(monkeypatch):
+    # Kept for every order, the partial sums of 24..64 held about 7.8 MiB.
+    # Only the latest is kept now, and eval reads each order's kept diagonal,
+    # taken from the partial sum the identity is stated on.
+    orders = range(24, 65)
+
+    def form_partial_sums():
+        for y in orders:
+            derivative_sum(y)
+
+    for y in orders:
+        build_poly(y)
+    derivative_sum.cache_clear()
+    _, retained = traced_retained(form_partial_sums)
+    assert retained < 2**20
+    assert derivative_sum.cache_info().currsize <= 1
+
+    real = engine._partial_sum
+    calls = 0
+
+    def counted(poly):
+        nonlocal calls
+        calls += 1
+        return real(poly)
+
+    monkeypatch.setattr(engine, "_partial_sum", counted)
+    derivative_sum.cache_clear()
+    engine._derivative_diagonal.cache_clear()
+    u = Rational(-3, 7)
+    for _ in range(2):
+        for y in orders:
+            assert eval_derivative_at(y, u) == (2 * y + 1) * u ** (2 * y), y
+    assert calls == len(orders)
+    for y in range(65):
+        assert engine._derivative_diagonal(y) == BiPoly.monomial(2 * y, 0, 2 * y + 1), y
+
+
 @pytest.mark.parametrize("u", [0.5, True])
 def test_eval_refuses_a_bad_point_before_building(u):
     # The point is checked, and named as the caller's u, before f_64 or its
     # partial sum is built.
-    for cached in (bernoulli, power_sum, conv_sum, solve_coeffs, build_poly, derivative_sum):
+    for cached in (
+        bernoulli,
+        power_sum,
+        conv_sum,
+        solve_coeffs,
+        build_poly,
+        derivative_sum,
+        engine._derivative_diagonal,
+    ):
         cached.cache_clear()
     with pytest.raises(TypeError, match=r"^u must be int or Rational, got (float|bool)$"):
         eval_derivative_at(64, u)
     assert build_poly.cache_info().currsize == 0
     assert derivative_sum.cache_info().currsize == 0
+    assert engine._derivative_diagonal.cache_info().currsize == 0
 
 
 def test_diagonal_matches_reference_to_order_64():

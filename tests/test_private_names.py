@@ -81,7 +81,17 @@ CENSUS_ARGV = [
     ["verify", "--max-y", "3"],
     ["oracle", "3", "--max-n", "10"],
 ]
-CACHED = ("bernoulli", "power_sum", "conv_sum", "solve_coeffs", "build_poly", "derivative_sum")
+# Every cache the census's calls fill, the evaluation's kept diagonals too,
+# so that no call reads an entry a corrupted row left behind.
+CACHED = (
+    oddpower.bernoulli,
+    oddpower.power_sum,
+    oddpower.conv_sum,
+    oddpower.solve_coeffs,
+    oddpower.build_poly,
+    oddpower.derivative_sum,
+    engine._derivative_diagonal,
+)
 
 
 def _is_private(name: str) -> bool:
@@ -247,8 +257,8 @@ def _counting(calls: Counter, name: str, function):
 
 
 def _clear_caches() -> None:
-    for name in CACHED:
-        getattr(oddpower, name).cache_clear()
+    for cached in CACHED:
+        cached.cache_clear()
 
 
 def test_bipoly_dunders_run(monkeypatch):
