@@ -10,22 +10,28 @@ arithmetic is exact at arbitrary precision.  Division by zero raises
 one: they sum integer numerators over a common denominator and form one
 ``Rational`` (or, in ``BiPoly``, one reduced denominator) at the end.
 
-``power_sum(p)`` is the polynomial in z that agrees with sum_{k=1..z} k^p
-at every non-negative integer z, obtained from Faulhaber's formula.  It is
-univariate, so it is returned as one integer row over one denominator, in
-FLINT's ``fmpq_poly`` form, not as a ``BiPoly``.  The recurrence that
-defines the Bernoulli numbers is S_n(1) = 1 for this Faulhaber power sum
-S_n(z), in which B_n is the coefficient of z^1.  So ``_faulhaber_row(n)``
-is the one place the products C(n+1, j) * B_j are formed: ``bernoulli(n)``
-reads B_n off its z^1 entry and ``power_sum(n)`` divides the whole row by
-its content.
+``bernoulli(2k)`` is read off the tangent number E_{2k-1}, the last entry of
+row 2k - 1 of the Seidel-Entringer triangle (OEIS A000111), whose rows are
+running sums of the row before, read backwards: additions only.  The one
+kept row and the tangent numbers read so far are the state that
+``bernoulli.cache_clear()`` drops with the cache.
+
+``power_sum(p)`` is the polynomial S_p(z) in z that agrees with
+sum_{k=1..z} k^p at every non-negative integer z (Faulhaber's formula).  It
+is univariate, so it is returned as one integer row over one denominator, in
+FLINT's ``fmpq_poly`` form, not as a ``BiPoly``.  The power sums are an
+Appell sequence, S_p' = p * S_{p-1} + B_p, so each row is the row below it
+integrated term by term, times p, with B_p as its z^1 coefficient: small
+integer products and quotients, and no binomials.  It keeps no state beyond
+its cache.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm
+from itertools import accumulate
+from math import gcd, lcm
 
 __all__ = ["Rational", "bernoulli", "power_sum"]
 
@@ -41,27 +47,27 @@ def _check_order(value: int, name: str) -> None:
         raise ValueError(f"{name} must be non-negative, got {value}")
 
 
-def _faulhaber_row(p: int) -> tuple[int, list[int]]:
-    """The unreduced integer row ``(den, nums)`` of the Faulhaber polynomial
-    S_p(z) (see ``power_sum``): ``nums[k] / den`` is the coefficient of z^k
-    for k = 0..p + 1.
+# Bernoulli's kept state: the last row E(n, 0..n) of the Seidel-Entringer
+# triangle built so far, from E(0, 0) = 1, and the tangent numbers E_1, E_3,
+# ... read off its odd rows, E_{2k-1} at index k - 1, for a B_{2k} asked for
+# after the row has passed 2k - 1.
+_triangle_row = [1]
+_tangents: list[int] = []
 
-    Each B_j with j < p that is not 0 (B_0, B_1 and the even j; the odd B_j
-    above B_1 are 0, which the tests check against the recurrence with no
-    shortcut) is read once, and C(p+1, j) * B_j goes to degree p + 1 - j
-    over den = (p + 1) * L, with L the lcm of their denominators.  B_p goes
-    with z^1, and S_p(1) = 1, the recurrence that defines B_p, fixes it:
-    ``nums[1] = den - sum(nums)``.  So L leaves out B_p's own denominator.
+
+def _tangent(k: int) -> int:
+    """The tangent number E_{2k-1} for k >= 1, from the kept triangle row,
+    extended as far as row 2k - 1 if it is not there yet.
+
+    Row n is E(n, j) = E(n, j-1) + E(n-1, n-j) with E(n, 0) = 0: the
+    running sums of row n - 1 read backwards.  E(n, n) is the Euler zigzag
+    number, the tangent number for odd n.
     """
-    terms = [(j, (b := bernoulli(j)).numerator, b.denominator)
-             for j in (*range(min(p, 2)), *range(2, p, 2))]
-    common = lcm(*(d for _, _, d in terms))
-    den = (p + 1) * common
-    nums = [0] * (p + 2)
-    for j, num, d in terms:
-        nums[p + 1 - j] = comb(p + 1, j) * num * (common // d)
-    nums[1] = den - sum(nums)
-    return den, nums
+    while len(_tangents) < k:
+        _triangle_row[:] = [0, *accumulate(reversed(_triangle_row))]
+        if len(_triangle_row) % 2 == 0:
+            _tangents.append(_triangle_row[-1])
+    return _tangents[k - 1]
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -74,19 +80,34 @@ def bernoulli(n: int) -> Rational:
 
     which pins B_1 to +1/2.  With this sign choice the power-sum polynomial
     assembled from these numbers includes its upper summation bound, so no
-    correction term is needed downstream.  The recurrence is S_n(1) = 1 for
-    the Faulhaber polynomial S_n, in which B_n is the coefficient of z^1, so
-    B_n is read off the z^1 entry of ``_faulhaber_row(n)``, the one
-    ``Rational`` formed; for n = 0 the row is (1, [0, 1]) and B_0 = 1.
-    B_n is 0 for odd n > 1, so it is returned at once.
+    correction term is needed downstream.  B_0 = 1, B_n = 0 for odd n > 1,
+    and for n = 2k the tangent number E_{2k-1} gives
+
+        B_{2k} = (-1)^(k-1) * 2k * E_{2k-1} / (4^k * (4^k - 1)).
+
     Values are memoized; the cache is invisible to callers since every
     result is immutable.
     """
     _check_order(n, "n")
-    if n > 2 and n % 2 == 1:
+    if n < 2:
+        return Rational(1, n + 1)  # B_0 = 1, B_1 = 1/2
+    if n % 2:
         return Rational(0)
-    den, nums = _faulhaber_row(n)
-    return Rational(nums[1], den)
+    k = n // 2
+    four_k = 4**k
+    return Rational((n if k % 2 else -n) * _tangent(k), four_k * (four_k - 1))
+
+
+def _clear_bernoulli(clear=bernoulli.cache_clear) -> None:
+    clear()
+    _triangle_row[:] = [1]
+    _tangents.clear()
+
+
+# A cleared cache drops the triangle state with it, so a cold bernoulli(n)
+# starts again from row 0.  The cache registry of ROADMAP item 13, once it
+# lands, replaces this wrap.
+bernoulli.cache_clear = _clear_bernoulli
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -100,14 +121,48 @@ def power_sum(p: int) -> tuple[int, tuple[int, ...]]:
         S_p(z) = (1/(p+1)) * sum_{j=0..p} C(p+1, j) * B_j * z^(p+1-j)
 
     The +1/2 convention makes the closed form inclusive of the upper bound z,
-    so S_p(n) really is 1^p + ... + n^p for integer n >= 1.  The row is
-    ``_faulhaber_row(p)``, the same integer row whose z^1 entry is B_p,
-    divided here by its content.  Only B_0, B_1 and the even-index B_j are
-    not 0, so the nonzero degrees are z^(p+1), z^(p-1), z^(p-3), ... down
-    to z^1 or z^2, and z^p for p >= 1; every other coefficient, z^0
-    included, is 0.
+    so S_p(n) really is 1^p + ... + n^p for integer n >= 1.  Only B_0, B_1
+    and the even-index B_j are not 0, so the nonzero degrees are z^(p+1),
+    z^(p-1), z^(p-3), ... down to z^1 or z^2, and z^p for p >= 1; every
+    other coefficient, z^0 included, is 0.
+
+    The row is built from S_{p-1} = (d, c) by S_p' = p * S_{p-1} + B_p:
+    S_0 = z, and for p >= 1 the coefficient of z^k is p * c[k-1] / (d * k)
+    for k = 2..p + 1, and that of z^1 is B_p.  With g = gcd(p, d), each
+    entry is (p/g) * c[k-1] over (d/g) * k, reduced by its gcd with the
+    small k, and the row is written over the lcm of those denominators and
+    B_p's.  That row is reduced as it stands: S_{p-1} is reduced and p/g is
+    prime to d/g, so for each prime q of the lcm, an entry whose denominator
+    holds q as often as the lcm does has a numerator prime to q.  (Without
+    g, S_3 would give S_4 over 60, not 30.)
+
+    A cold ``power_sum(p)`` first fills S_0..S_{p-1} through this cache, in
+    rising order, so a call recurses only one frame.  Since every miss does
+    so, the cache holds S_0..S_{n-1} for n its size, and the fill starts
+    there; were that not so, the fill would only recurse deeper, with the
+    same rows.
     """
     _check_order(p, "p")
-    den, nums = _faulhaber_row(p)
-    g = gcd(den, *nums)
-    return den // g, tuple(n // g for n in nums)
+    if p == 0:
+        return 1, (0, 1)
+    for q in range(power_sum.cache_info().currsize, p):
+        power_sum(q)
+    den, coeffs = power_sum(p - 1)
+    g = gcd(p, den)
+    factor, den = p // g, den // g
+    entries = []
+    for k, c in enumerate(coeffs[1:], 2):
+        if c:
+            c *= factor
+            h = gcd(c, k)
+            entries.append((k, c // h, k // h))
+    common = lcm(*(d for _, _, d in entries))
+    scale = den * common
+    b = bernoulli(p)
+    g = gcd(scale, b.denominator)
+    rest = b.denominator // g
+    row = [0] * (p + 2)
+    row[1] = b.numerator * (scale // g)
+    for k, n, d in entries:
+        row[k] = n * (common // d * rest)
+    return scale * rest, tuple(row)

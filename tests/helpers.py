@@ -10,12 +10,15 @@ arbitrate between the two.  ``load_corpus`` reads that corpus,
 generic polynomial-algebra routes that the library's closed-form solver and
 direct builder replaced; the differential tests hold the two routes equal.
 ``bernoulli_reference`` and ``solve_coeffs_reference`` are the
-``Fraction``-per-term recurrences that the integer sums over one lcm in
-``bernoulli`` and ``solve_coeffs`` replaced.
+``Fraction``-per-term recurrences that the tangent numbers of ``bernoulli``
+and the integer sum over one lcm of ``solve_coeffs`` replaced.
 ``power_sum_reference`` is the ``Fraction``-per-coefficient Faulhaber loop
-that the integer row ``power_sum`` replaced, and ``conv_sum_reference`` the
-separate ``H_r`` expansion, from those reference power sums, that the shared
-``_combine_conv_sums`` loop replaced.  ``combine_conv_sums_loop_reference``
+that the integer row ``power_sum`` replaced, and ``faulhaber_row_reference``
+the integer Faulhaber row, C(p+1, j) * B_j over one lcm with B_p fixed by
+S_p(1) = 1, that the Appell step of ``power_sum`` replaced.
+``conv_sum_reference`` is the separate ``H_r`` expansion, from those
+reference power sums, that the shared ``_combine_conv_sums`` loop replaced.
+``combine_conv_sums_loop_reference``
 is that loop visiting every coefficient of each power sum and skipping the
 zeros, which the walk over the degrees that can be nonzero replaced; it
 builds its result with the ``BiPoly`` constructor.  ``row_poly`` wraps a
@@ -244,6 +247,28 @@ def power_sum_reference(p: int) -> BiPoly:
         if coeff:
             terms[(0, p + 1 - j)] = coeff
     return BiPoly(terms)
+
+
+def faulhaber_row_reference(p: int) -> tuple[int, tuple[int, ...]]:
+    """S_p as a reduced integer row ``(den, coeffs)``, as ``power_sum``
+    returns it, from Faulhaber's formula.
+
+    Each B_j with j < p that is not 0 (B_0, B_1 and the even j) goes with
+    z^(p+1-j) as C(p+1, j) * B_j over den = (p + 1) * L, with L the lcm of
+    their denominators.  B_p goes with z^1, and S_p(1) = 1, the recurrence
+    that defines B_p, fixes it without reading it: ``nums[1] = den -
+    sum(nums)``.  The row is then divided by its content.
+    """
+    terms = [(j, (b := bernoulli(j)).numerator, b.denominator)
+             for j in (*range(min(p, 2)), *range(2, p, 2))]
+    common = lcm(*(d for _, _, d in terms))
+    den = (p + 1) * common
+    nums = [0] * (p + 2)
+    for j, num, d in terms:
+        nums[p + 1 - j] = comb(p + 1, j) * num * (common // d)
+    nums[1] = den - sum(nums)
+    g = gcd(den, *nums)
+    return den // g, tuple(n // g for n in nums)
 
 
 def conv_sum_reference(r: int) -> BiPoly:

@@ -269,12 +269,17 @@ def test_eval_checks_the_value_is_printable_before_the_work(capsys, monkeypatch)
         (["coeffs", "9" * 5000 + "a"], "invalid integer: '" + "9" * 40 + "'... (5001 characters)\n"),
         (["coeffs", "9" * 39 + "a"], "invalid integer: '" + "9" * 39 + "a'\n"),
         (["eval", "1", "--at", "1/" + "x" * 38], "invalid rational '1/" + "x" * 38 + "', expected"),
+        (["coeffs", "9" * 40 + "a"], "invalid integer: '" + "9" * 40 + "'... (41 characters)\n"),
+        (
+            ["eval", "1", "--at", "1/" + "x" * 39],
+            "invalid rational '1/" + "x" * 38 + "'... (41 characters), expected",
+        ),
     ],
-    ids=["long-point", "long-order", "order-of-40", "point-of-40"],
+    ids=["long-point", "long-order", "order-of-40", "point-of-40", "order-of-41", "point-of-41"],
 )
 def test_malformed_argument_echo_is_cut_short(capsys, argv, echo):
     # A malformed argument is echoed up to 40 characters as it is, and past
-    # that as its first 40 characters and its length.
+    # that, from 41 on, as its first 40 characters and its length.
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("usage: ") and err.count("\n") == 2

@@ -12,6 +12,7 @@ from helpers import (
     combine_conv_sums_loop_reference,
     conv_sum_reference,
     degrees,
+    faulhaber_row_reference,
     power_sum_reference,
     row_poly,
     scale,
@@ -70,6 +71,28 @@ def test_power_sum_matches_reference_to_degree_200():
         assert row_poly(power_sum(p)) == power_sum_reference(p), p
 
 
+def test_power_sum_matches_faulhaber_row_to_degree_400():
+    # The Appell step against the Faulhaber row it replaced: reduced as it
+    # stands, with no content divided out, and S_p(1) = 1, the recurrence
+    # that defines B_p, which holds each z^1 entry, read from the tangent
+    # numbers, to the rest of its Appell row.
+    for p in range(401):
+        row = power_sum(p)
+        assert row == faulhaber_row_reference(p), p
+        assert_reduced_row(row, p + 2)
+        den, coeffs = row
+        assert sum(coeffs) == den, p
+
+
+def test_cold_power_sums_out_of_order():
+    # A cold power_sum(77) fills the rows below it, which a later
+    # power_sum(13) then reads from the cache.
+    bernoulli.cache_clear()
+    power_sum.cache_clear()
+    assert power_sum(77) == faulhaber_row_reference(77)
+    assert power_sum(13) == faulhaber_row_reference(13)
+
+
 def test_power_sum_nonzero_degrees_to_degree_400():
     # B_j goes with z^(p+1-j), and only B_0, B_1 and the even B_j are nonzero
     # (bernoulli matches the recurrence with no odd-index shortcut to 400), so
@@ -82,9 +105,9 @@ def test_power_sum_nonzero_degrees_to_degree_400():
 
 @pytest.mark.parametrize("first", ["power_sum", "bernoulli"])
 def test_power_sum_z1_entry_is_bernoulli(first):
-    # S_p(1) = 1 is the recurrence that defines B_p, the z^1 coefficient of
-    # S_p.  A cold power_sum(p) does not go through bernoulli(p), so the
-    # order in which the two caches fill must not matter.
+    # B_p is the z^1 coefficient of S_p, which power_sum reads from
+    # bernoulli(p), so the order in which the two caches fill must not
+    # matter.
     bernoulli.cache_clear()
     power_sum.cache_clear()
     if first == "power_sum":

@@ -16,8 +16,9 @@ The few names and methods kept for library callers alone are listed in
 Only ``bipoly.py`` knows how a ``BiPoly`` stores its numerators: no other
 package module reads the attribute ``_den`` or ``_diags`` or imports
 ``_from_ints``, so a change of layout stays inside that one file.  Likewise
-only ``rationals.py`` names ``_faulhaber_row``, the Faulhaber row that
-``bernoulli`` and ``power_sum`` both read.
+only ``rationals.py`` names ``_triangle_row`` or ``_tangents``, the
+triangle state that ``bernoulli.cache_clear()`` drops, so no other module
+can keep or reset it behind that clear.
 
 An AST walk cannot tell who reads an operator (``a * b`` reads the same on
 two ``int`` as on two ``BiPoly``), so the dunders of ``BiPoly`` are checked by
@@ -146,16 +147,19 @@ def test_only_bipoly_reads_the_layout():
     assert [r for r in readers if r not in inside] == []
 
 
-def test_only_rationals_names_the_faulhaber_row():
-    # bernoulli and power_sum both read the row, so both live beside it.
+TRIANGLE_STATE = ("_triangle_row", "_tangents")
+
+
+def test_only_rationals_names_the_triangle_state():
+    # bernoulli's cache_clear drops the state, so only its module touches it.
     namers = [
         f"{path.name}:{node.lineno}"
         for path in sorted(PACKAGE.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
-        if "_faulhaber_row" in (getattr(node, key, None) for key in ("id", "attr", "name"))
+        if any(getattr(node, key, None) in TRIANGLE_STATE for key in ("id", "attr", "name"))
     ]
     inside = [n for n in namers if n.startswith("rationals.py:")]
-    assert inside, "no _faulhaber_row found; is the package path right?"
+    assert inside, "no triangle state found; is the package path right?"
     assert [n for n in namers if n not in inside] == []
 
 

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import bernoulli_reference
+import oddpower.rationals as oddpower_rationals
 from oddpower.rationals import Rational, bernoulli
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
@@ -118,6 +119,34 @@ def test_bernoulli_matches_fraction_recurrence():
     reference = bernoulli_reference(400)
     assert [bernoulli(n) for n in range(401)] == reference
     assert all(type(bernoulli(n)) is Rational for n in range(401))
+
+
+def test_cleared_bernoulli_rebuilds_the_triangle_from_row_0():
+    # The kept triangle goes with the cache: a row or tangent number left
+    # over, here a corrupted one, would make the cold call wrong.
+    reference = bernoulli_reference(40)
+    try:
+        bernoulli.cache_clear()
+        bernoulli(60)
+        oddpower_rationals._triangle_row[:] = [0] * len(oddpower_rationals._triangle_row)
+        oddpower_rationals._tangents[:] = [0] * len(oddpower_rationals._tangents)
+        bernoulli.cache_clear()
+        assert oddpower_rationals._triangle_row == [1] and oddpower_rationals._tangents == []
+        assert bernoulli(40) == reference[40]
+        # Row 39, the one that holds E_39, and E_1, E_3, ..., E_39.
+        assert len(oddpower_rationals._triangle_row) == 40
+        assert len(oddpower_rationals._tangents) == 20
+    finally:
+        bernoulli.cache_clear()
+
+
+def test_cold_bernoulli_out_of_order():
+    # bernoulli(50) after a cold bernoulli(100) reads E_49, which the
+    # triangle row passed on its way to row 99.
+    reference = bernoulli_reference(100)
+    bernoulli.cache_clear()
+    assert bernoulli(100) == reference[100]
+    assert bernoulli(50) == reference[50]
 
 
 def test_bernoulli_negative_raises():
