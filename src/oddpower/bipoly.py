@@ -17,9 +17,13 @@ one term each, so :meth:`BiPoly.diagonal` is one sum per total degree.  A
 partial derivative moves each anti-diagonal down by one, so
 :func:`_partial_sum` forms d/dx + d/dz in one pass.  ``+`` and ``-``
 hand the terms of both operands to :func:`_from_fractions`, the term sum of
-the constructor.  All of these and evaluation work on the integer
-numerators, over the least common multiple of the operands' denominators,
-and reduce each result once by one gcd.  Evaluation keeps its powers and
+the constructor and the parser, which also adds each term into its
+anti-diagonal in one pass.  Both filter zero numerators out only after a
+step that can make one: a cancellation in ``_partial_sum``, a repeated key
+or a numerator that arrives as 0 in ``_from_fractions``.  All of these and
+evaluation work on the integer numerators, over the least common multiple
+of the operands' denominators, and reduce each result once by one gcd.
+Evaluation keeps its powers and
 its one row per x-degree in maps keyed by the degrees the terms hold, so a
 term of degree 10^7 costs one entry, not a table of 10^7 slots; the top
 degrees it needs are read off those maps, and ``BiPoly`` has no degree
@@ -250,23 +254,39 @@ def _from_ints(den: int, diags: _Diagonals) -> BiPoly:
 
 def _from_fractions(terms: list[tuple[int, int, int, int]]) -> BiPoly:
     """The sum of ``(deg_x, deg_z, numerator, denominator)`` terms, with
-    positive denominators, added over the lcm of the denominators.  Each
-    distinct denominator ``d`` gets its scale ``lcm // d`` once, however
-    many terms share it.  A term's anti-diagonal is looked up first, and a
-    new map is made only for the first term of each anti-diagonal."""
+    positive denominators, added over the lcm of the denominators in one
+    pass.  Each distinct denominator ``d`` gets its scale ``lcm // d`` once,
+    however many terms share it, and a numerator is multiplied by it only
+    when ``d`` is not the lcm.  A term's anti-diagonal is looked up first,
+    a new map is made only for the first term of each anti-diagonal, and a
+    numerator is added to an entry only when its key repeats.  Only a
+    repeated key or a numerator that arrives as 0 can leave a zero entry,
+    so the rows are rebuilt without zeros only after one of those."""
     denominators = {d for _, _, _, d in terms}
     den = lcm(*denominators)
     scales = {d: den // d for d in denominators}
     sums: _Diagonals = {}
+    zeros = False  # set by a repeated key or a zero numerator
     for deg_x, deg_z, n, d in terms:
+        if d != den:
+            n *= scales[d]
         total = deg_x + deg_z
         row = sums.get(total)
         if row is None:
-            row = sums[total] = {}
-        row[deg_z] = row.get(deg_z, 0) + n * scales[d]
-    return _from_ints(den, {
-        total: row for total, old in sums.items() if (row := {dz: n for dz, n in old.items() if n})
-    })
+            sums[total] = {deg_z: n}
+        elif deg_z in row:
+            row[deg_z] += n
+            zeros = True
+            continue
+        else:
+            row[deg_z] = n
+        if not n:
+            zeros = True
+    if zeros:
+        sums = {
+            total: row for total, old in sums.items() if (row := {dz: n for dz, n in old.items() if n})
+        }
+    return _from_ints(den, sums)
 
 
 def _from_rows(rows: list[tuple[int, int, list[int]]]) -> BiPoly:

@@ -85,7 +85,7 @@ def parse_poly(text: str) -> BiPoly:
     terms: list[tuple[int, int, int, int]] = []  # (deg_x, deg_z, numerator, denominator)
     degrees = {None: 0, "x": 1, "z": 1}  # spelling of a variable -> its degree
     offset, end = 0, len(text)
-    match_term = _TERM_RE.match
+    match_term, add_term = _TERM_RE.match, terms.append
     try:
         while match := match_term(text, offset):
             sign, num, den, x, z = match.groups()
@@ -99,7 +99,7 @@ def parse_poly(text: str) -> BiPoly:
                 if deg_x > MAX_DEGREE or deg_z > MAX_DEGREE:
                     break
             num = int(num) if num else 1
-            terms.append((deg_x, deg_z, -num if sign == "-" else num, int(den) if den else 1))
+            add_term((deg_x, deg_z, -num if sign == "-" else num, int(den) if den else 1))
             offset = match.end()
             if offset == end:
                 return _from_fractions(terms)

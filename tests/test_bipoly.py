@@ -353,6 +353,35 @@ def test_ring_operations_match_reference(a, b, s):
     assert_same(p - s, rp - s)
 
 
+# Pair lists for the constructor's list form: keys from a set of nine, so
+# repeats are common and often cancel to 0, numerators that may be 0, and
+# denominators 1..4 mixed within one list.
+pair_lists = st.lists(
+    st.tuples(
+        st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4),
+    ),
+    max_size=12,
+)
+
+
+@example(pairs=[])
+@example(pairs=[((0, 0), 0)])  # a lone zero numerator, no repeated key
+@example(pairs=[((1, 0), 0), ((0, 1), 2)])  # a zero numerator beside a nonzero term
+@example(pairs=[((1, 0), 1), ((0, 1), 2), ((1, 0), -1)])  # a repeat cancels x, z stays
+@example(pairs=[((1, 1), Rational(1, 2)), ((1, 1), Rational(-1, 2)), ((0, 1), Rational(1, 3))])
+@example(pairs=[((0, 1), Rational(1, 4)), ((0, 1), Rational(3, 4)), ((2, 0), 1)])  # 1/4 + 3/4 = 1
+@given(pairs=pair_lists)
+def test_pair_list_construction_matches_reference(pairs):
+    # One pass sums the terms; only a repeated key or a zero numerator may
+    # leave a zero entry, and assert_canonical_layout finds any that stays.
+    assert_same(BiPoly(pairs), ReferenceBiPoly(pairs))
+    half = len(pairs) // 2
+    head, tail = pairs[:half], pairs[half:]
+    assert_same(BiPoly(head) + BiPoly(tail), ReferenceBiPoly(head) + ReferenceBiPoly(tail))
+    assert_same(BiPoly(head) - BiPoly(tail), ReferenceBiPoly(head) - ReferenceBiPoly(tail))
+
+
 @example(a={})
 @example(a=HALF_X)
 @example(a={(2, 1): Rational(1, 6), (1, 2): Rational(-1, 6), (3, 0): Rational(5, 4)})

@@ -4,7 +4,7 @@ import random
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -327,3 +327,83 @@ def test_report_is_frozen():
     with pytest.raises(AttributeError):
         report.holds = False
     assert report.holds is True
+
+
+# -- two identities off the diagonal, at exact rational points --------------
+#
+# f_y(x, n) = sum_{k=1..n} P(k(x - k)) with P(t) = sum_r A_r t^r, and the
+# sum over k = 1..x is x^(2y+1).  So f_y(x, z) - f_y(x, z - 1) = P(z(x - z)),
+# f_y(x, 0) = 0, and, with the tail k = z+1..x-1 read as j = x - k, the
+# reflection f_y(x, z) + f_y(x, x - 1 - z) = x^(2y+1) - P(0), P(0) = A_0.
+# These are point checks: they can catch a wrong polynomial, not prove f_y.
+
+off_diagonal_points = st.integers(-40, 40) | st.fractions(-40, 40, max_denominator=40)
+
+
+def reflection_gap(poly: BiPoly, y: int, x: Rational, z: Rational) -> Rational:
+    """``poly(x, z) + poly(x, x - 1 - z) - (x^(2y+1) - A_0)``, zero for f_y."""
+    return poly(x, z) + poly(x, x - 1 - z) - x ** (2 * y + 1) + solve_coeffs(y)[0]
+
+
+def difference_gap(poly: BiPoly, y: int, x: Rational, z: Rational) -> Rational:
+    """``poly(x, z) - poly(x, z - 1) - P(z(x - z))``, zero for f_y."""
+    t = z * (x - z)
+    return poly(x, z) - poly(x, z - 1) - sum(a * t**r for r, a in enumerate(solve_coeffs(y)))
+
+
+@settings(max_examples=100, deadline=None)
+@example(y=64, x=Rational(3, 7), z=Rational(-5, 11))
+@given(y=st.integers(0, 64), x=off_diagonal_points, z=off_diagonal_points)
+def test_reflection_identity_at_rational_points(y, x, z):
+    assert reflection_gap(build_poly(y), y, x, z) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@example(y=64, x=Rational(3, 7), z=Rational(-5, 11))
+@given(y=st.integers(0, 64), x=off_diagonal_points, z=off_diagonal_points)
+def test_difference_equation_at_rational_points(y, x, z):
+    poly = build_poly(y)
+    assert difference_gap(poly, y, x, z) == 0
+    assert poly(x, 0) == 0
+
+
+def _antisymmetric_q() -> BiPoly:
+    """q = z(x - z)(z + 1)(x - 1 - z)(2z - x + 1), which changes sign under
+    z -> x - 1 - z, expanded term by term; each factor maps (deg_x, deg_z)
+    to its coefficient."""
+    factors = [
+        {(0, 1): 1},
+        {(1, 0): 1, (0, 1): -1},
+        {(0, 1): 1, (0, 0): 1},
+        {(1, 0): 1, (0, 0): -1, (0, 1): -1},
+        {(0, 1): 2, (1, 0): -1, (0, 0): 1},
+    ]
+    product = [((0, 0), 1)]
+    for factor in factors:
+        product = [
+            ((ax + bx, az + bz), a * b)
+            for (ax, az), a in product
+            for (bx, bz), b in factor.items()
+        ]
+    return BiPoly(product)
+
+
+@pytest.mark.parametrize("y", [0, 1, 2, 5, 16, 64])
+def test_reflection_catches_a_term_that_vanishes_on_the_diagonal(y):
+    # 3z(x - z) is 0 on z = x, so f_y plus it keeps the diagonal and passes
+    # the difference equation's f(x, 0) = 0; the reflection sees it.
+    bad = build_poly(y) + BiPoly({(1, 1): 3, (0, 2): -3})
+    assert bad.diagonal() == BiPoly.monomial(2 * y + 1, 0)
+    assert reflection_gap(bad, y, Rational(3, 7), Rational(-5, 11)) != 0
+
+
+@pytest.mark.parametrize("y", [3, 16])
+def test_difference_equation_catches_an_antisymmetric_term(y):
+    # q vanishes on z = x and its reflection cancels, so f_y + q passes the
+    # diagonal and the reflection and fails only the difference equation.
+    x, z = Rational(3, 7), Rational(-5, 11)
+    bad = build_poly(y) + _antisymmetric_q()
+    assert bad.diagonal() == BiPoly.monomial(2 * y + 1, 0)
+    assert reflection_gap(bad, y, x, z) == 0
+    assert bad(x, 0) == 0
+    assert difference_gap(bad, y, x, z) != 0
