@@ -13,6 +13,7 @@ from .engine import (
     build_poly,
     check_derivative_identity,
     check_diagonal,
+    clear_caches,
     conv_sum,
     derivative_sum,
     eval_derivative_at,
@@ -31,6 +32,7 @@ __all__ = [
     "build_poly",
     "check_derivative_identity",
     "check_diagonal",
+    "clear_caches",
     "conv_sum",
     "derivative_sum",
     "eval_derivative_at",

@@ -33,7 +33,10 @@ What is kept: ``conv_sum`` and ``build_poly`` keep every order asked for.
 y = 64), since every caller but evaluation reads a partial sum once per
 order.  Evaluation reads the partial sum's diagonal again and again, so
 ``_derivative_diagonal`` keeps each order's diagonal, one term when the
-identity holds.  Only its own ``cache_clear()`` drops those diagonals.
+identity holds.  ``_CACHES`` is the one registry of the package's caches,
+from ``bernoulli`` to those diagonals in pipeline order, and
+``clear_caches()`` releases them all, the kept diagonals and the Bernoulli
+triangle state included.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from typing import NamedTuple, Sequence
 
 from .bipoly import BiPoly, _as_rational, _from_rows, _partial_sum
 from .coefficients import solve_coeffs
-from .rationals import Rational, _check_order, power_sum
+from .rationals import Rational, _check_order, bernoulli, power_sum
 
 __all__ = [
     "IdentityReport",
@@ -54,6 +57,7 @@ __all__ = [
     "check_diagonal",
     "check_derivative_identity",
     "eval_derivative_at",
+    "clear_caches",
 ]
 
 
@@ -185,3 +189,16 @@ def eval_derivative_at(y: int, u: int | Rational) -> Rational:
     built."""
     u = _as_rational(u, "u")
     return _derivative_diagonal(y)(u, u)
+
+
+# Every cached layer, in pipeline order; a test holds it equal to the
+# package's lru_caches.
+_CACHES = (bernoulli, power_sum, solve_coeffs, conv_sum, build_poly, derivative_sum,
+           _derivative_diagonal)
+
+
+def clear_caches() -> None:
+    """Release every kept result: each cache in ``_CACHES``, and with
+    ``bernoulli``'s the Bernoulli triangle state."""
+    for cached in _CACHES:
+        cached.cache_clear()

@@ -105,8 +105,10 @@ def _clear_bernoulli(clear=bernoulli.cache_clear) -> None:
 
 
 # A cleared cache drops the triangle state with it, so a cold bernoulli(n)
-# starts again from row 0.  The cache registry of ROADMAP item 13, once it
-# lands, replaces this wrap.
+# starts again from row 0.  The wrap stays on the function itself, not in
+# engine's registry alone, so that every caller of bernoulli.cache_clear(),
+# the registry's clear_caches() and the benchmark's own clear among them,
+# drops the state too.
 bernoulli.cache_clear = _clear_bernoulli
 
 

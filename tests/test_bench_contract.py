@@ -1,7 +1,8 @@
 """Benchmark contract guard: what ``oddbench/run.py`` uses of the library
 exists, without importing or changing the benchmark.
 
-The harness clears the cache of each name in its ``CACHED`` tuple, calls the
+The harness clears the cache of each name in its ``CACHED`` tuple, each of
+which must be in the package's registry ``engine._CACHES``, calls the
 package through a module object named ``lib``, and reads ``.holds`` of the
 derivative check.  A simplification of the library that drops any of these
 would break the benchmark's runs rather than any test, so they are read from
@@ -23,6 +24,7 @@ from pathlib import Path
 import pytest
 
 import oddpower
+import oddpower.engine as engine
 from oddpower.cli import main
 from oddpower.bipoly import FORMATS
 
@@ -61,6 +63,13 @@ def test_contract_found():
 def test_cached_layer_is_exported_and_clearable(name):
     assert name in oddpower.__all__
     assert callable(getattr(oddpower, name).cache_clear)
+
+
+def test_cached_names_are_registered():
+    # The harness's list may lag the package's registry, but it may not name
+    # a cache the package lacks.
+    registered = {cached.__wrapped__.__name__ for cached in engine._CACHES}
+    assert set(CACHED) <= registered
 
 
 @pytest.mark.parametrize("name", LIB_NAMES)

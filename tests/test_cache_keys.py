@@ -1,13 +1,20 @@
-"""Cache-key guard: every ``lru_cache`` in ``src/oddpower/`` is typed.
+"""Cache guards: every ``lru_cache`` in ``src/oddpower/`` is typed and is
+registered in ``engine._CACHES``.
 
 An untyped cache keys 2, 2.0 and True alike (they hash and compare equal), so
 a float or bool order would be handed a cached int entry, or refused, by
 whichever call came first.  ``typed=True`` keeps each such call off the int
 entries, where the order check refuses it.
+
+``engine.clear_caches()`` clears exactly the caches in ``engine._CACHES``, so
+a cache left out of that registry would keep its results across every
+"clear all"; the registry must name each decorated function.
 """
 
 import ast
 from pathlib import Path
+
+import oddpower.engine as engine
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "oddpower"
 
@@ -39,3 +46,9 @@ def test_every_lru_cache_is_typed():
     decorators = _cache_decorators()
     assert len(decorators) >= 6, "cached layers not found; is the package path right?"
     assert [where for where, decorator in decorators if not _typed(decorator)] == []
+
+
+def test_every_lru_cache_is_registered():
+    decorated = sorted(where.partition(":")[2] for where, _ in _cache_decorators())
+    registered = sorted(cached.__wrapped__.__name__ for cached in engine._CACHES)
+    assert registered == decorated

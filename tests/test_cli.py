@@ -361,16 +361,13 @@ def test_verify_failure_names_first_residual_term(capsys, monkeypatch):
     row = real(2)
     corrupted = (row[0], row[1], row[2] + Rational(1, 2))
     monkeypatch.setattr(engine, "solve_coeffs", lambda m: corrupted if m == 2 else real(m))
-    # Every cache that could keep a result of the corrupted row, eval's kept
-    # diagonals too, is cleared before and after.
-    caches = (engine.build_poly, engine.derivative_sum, engine._derivative_diagonal)
-    for cached in caches:
-        cached.cache_clear()
+    # Every cache is cleared before and after, so none keeps a result of the
+    # corrupted row, eval's kept diagonals included.
+    engine.clear_caches()
     try:
         code, out, _ = run(capsys, "verify", "--max-y", "3")
     finally:
-        for cached in caches:
-            cached.cache_clear()
+        engine.clear_caches()
     assert code == 1
     assert out.splitlines() == [
         " y  diagonal  derivative  overall",

@@ -1,7 +1,10 @@
 """Family construction and the symbolic derivative identity."""
 
+import hashlib
+import json
 import random
 from functools import partial
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,7 +25,9 @@ from helpers import (
     traced_retained,
 )
 import oddpower.engine as engine
-from oddpower.bipoly import BiPoly
+import oddpower.rationals as rationals
+from oddpower.bipoly import FORMATS, BiPoly, render
+from oddpower.cli import main
 from oddpower.coefficients import solve_coeffs
 from oddpower.engine import (
     build_poly,
@@ -220,21 +225,39 @@ def test_engine_keeps_one_partial_sum_and_each_diagonal(monkeypatch):
 def test_eval_refuses_a_bad_point_before_building(u):
     # The point is checked, and named as the caller's u, before f_64 or its
     # partial sum is built.
-    for cached in (
-        bernoulli,
-        power_sum,
-        conv_sum,
-        solve_coeffs,
-        build_poly,
-        derivative_sum,
-        engine._derivative_diagonal,
-    ):
-        cached.cache_clear()
+    engine.clear_caches()
     with pytest.raises(TypeError, match=r"^u must be int or Rational, got (float|bool)$"):
         eval_derivative_at(64, u)
     assert build_poly.cache_info().currsize == 0
     assert derivative_sum.cache_info().currsize == 0
     assert engine._derivative_diagonal.cache_info().currsize == 0
+
+
+RENDER_DIGESTS = json.loads(
+    (Path(__file__).resolve().parent.parent / "oddbench" / "expected.json").read_text()
+)["renders"]
+
+
+def test_clear_caches_empties_every_registered_cache(capsys):
+    # Fill every cache, the kept diagonals and the Bernoulli triangle too;
+    # verify first, since it clears build_poly and derivative_sum per row.
+    assert main(["verify", "--max-y", "8"]) == 0
+    capsys.readouterr()
+    conv_sum(8)
+    for y in range(65):
+        build_poly(y)
+    for y in (3, 24, 64):
+        eval_derivative_at(y, Rational(-3, 7))
+    assert all(cached.cache_info().currsize for cached in engine._CACHES)
+    assert len(rationals._tangents) >= 64
+
+    engine.clear_caches()
+    assert [cached.cache_info().currsize for cached in engine._CACHES] == [0] * len(engine._CACHES)
+    assert rationals._triangle_row == [1] and rationals._tangents == []
+    # A cold f_64 renders as the benchmark expects it.
+    poly = build_poly(64)
+    rendered = {fmt: hashlib.sha256(render(poly, fmt).encode()).hexdigest() for fmt in FORMATS}
+    assert rendered == RENDER_DIGESTS["64"]
 
 
 def test_diagonal_matches_reference_to_order_64():

@@ -11,7 +11,9 @@ another package module (``__init__.py`` re-exports, it does not read).
 Each public method of ``BiPoly`` (no leading underscore) must likewise be
 read as an attribute in a package module or a file under ``oddbench/``.
 The few names and methods kept for library callers alone are listed in
-``KEPT`` with the reason for each.
+``KEPT`` with the reason for each: among them ``clear_caches``, the one call
+that releases every kept result, which no package module or benchmark file
+reads.
 
 Only ``bipoly.py`` knows how a ``BiPoly`` stores its numerators: no other
 package module reads the attribute ``_den`` or ``_diags`` or imports
@@ -57,6 +59,7 @@ KEPT = {
     "IdentityReport": "the type check_derivative_identity returns; the benchmark reads its .holds",
     "PolyParseError": "the error parse_poly raises, which callers catch by name",
     "UnknownVariableError": "the error parse_poly raises for a name other than x or z",
+    "clear_caches": "one call that releases every kept result, for library callers",
 }
 
 DUNDERS_KEPT = {
@@ -82,17 +85,6 @@ CENSUS_ARGV = [
     ["verify", "--max-y", "3"],
     ["oracle", "3", "--max-n", "10"],
 ]
-# Every cache the census's calls fill, the evaluation's kept diagonals too,
-# so that no call reads an entry a corrupted row left behind.
-CACHED = (
-    oddpower.bernoulli,
-    oddpower.power_sum,
-    oddpower.conv_sum,
-    oddpower.solve_coeffs,
-    oddpower.build_poly,
-    oddpower.derivative_sum,
-    engine._derivative_diagonal,
-)
 
 
 def _is_private(name: str) -> bool:
@@ -260,11 +252,6 @@ def _counting(calls: Counter, name: str, function):
     return counted
 
 
-def _clear_caches() -> None:
-    for cached in CACHED:
-        cached.cache_clear()
-
-
 def test_bipoly_dunders_run(monkeypatch):
     # Wrap every method of the class body, aliases such as ``__radd__ =
     # __add__`` under their own name, so each name's calls are counted apart.
@@ -285,7 +272,9 @@ def test_bipoly_dunders_run(monkeypatch):
     assert "__add__" in dunders and "diff" in methods, "no BiPoly methods wrapped"
     assert DUNDERS_KEPT.keys() <= set(dunders), "a DUNDERS_KEPT method is no longer defined"
 
-    _clear_caches()
+    # Every cache the census's calls fill is cleared, the evaluation's kept
+    # diagonals too, so that no call reads an entry a corrupted row left behind.
+    oddpower.clear_caches()
     try:
         for argv in CENSUS_ARGV:
             assert main(argv) == 0, argv
@@ -302,10 +291,10 @@ def test_bipoly_dunders_run(monkeypatch):
         corrupted = (row[0], row[1], row[2] + Fraction(1, 2))
         with monkeypatch.context() as patch:
             patch.setattr(engine, "solve_coeffs", lambda m: corrupted if m == 2 else real(m))
-            _clear_caches()
+            oddpower.clear_caches()
             assert main(["verify", "--max-y", "2"]) == 1
     finally:
-        _clear_caches()
+        oddpower.clear_caches()
 
     unrun = [name for name in dunders if not calls[name] and name not in DUNDERS_KEPT]
     assert unrun == [], f"BiPoly dunders that no subcommand or roundtrip call runs: {unrun}"
