@@ -13,17 +13,18 @@ one: they sum integer numerators over a common denominator and form one
 ``bernoulli(2k)`` is read off the tangent number E_{2k-1}, the last entry of
 row 2k - 1 of the Seidel-Entringer triangle (OEIS A000111), whose rows are
 running sums of the row before, read backwards: additions only.  The one
-kept row and the tangent numbers read so far are the state that
-``bernoulli.cache_clear()`` drops with the cache.
+kept row is the only state beside the cache; a lower index asked for after
+the row has passed it starts again from row 0, and ``bernoulli.cache_clear()``
+drops the row with the cache.
 
 ``power_sum(p)`` is the polynomial S_p(z) in z that agrees with
 sum_{k=1..z} k^p at every non-negative integer z (Faulhaber's formula).  It
 is univariate, so it is returned as one integer row over one denominator, in
 FLINT's ``fmpq_poly`` form, not as a ``BiPoly``.  The power sums are an
 Appell sequence, S_p' = p * S_{p-1} + B_p, so each row is the row below it
-integrated term by term, times p, with B_p as its z^1 coefficient: small
-integer products and quotients, and no binomials.  It keeps no state beyond
-its cache.
+integrated term by term, times p, and its z^1 coefficient, B_p, is whatever
+makes S_p(1) = 1: small integer products and quotients, no binomials and no
+Bernoulli number.  It keeps no state beyond its cache.
 """
 
 from __future__ import annotations
@@ -48,26 +49,24 @@ def _check_order(value: int, name: str) -> None:
 
 
 # Bernoulli's kept state: the last row E(n, 0..n) of the Seidel-Entringer
-# triangle built so far, from E(0, 0) = 1, and the tangent numbers E_1, E_3,
-# ... read off its odd rows, E_{2k-1} at index k - 1, for a B_{2k} asked for
-# after the row has passed 2k - 1.
+# triangle built so far, from E(0, 0) = 1.
 _triangle_row = [1]
-_tangents: list[int] = []
 
 
 def _tangent(k: int) -> int:
-    """The tangent number E_{2k-1} for k >= 1, from the kept triangle row,
-    extended as far as row 2k - 1 if it is not there yet.
+    """The tangent number E_{2k-1} for k >= 1, the last entry of row 2k - 1:
+    the kept triangle row is extended to it, after starting again from row 0
+    if it is already past it.
 
     Row n is E(n, j) = E(n, j-1) + E(n-1, n-j) with E(n, 0) = 0: the
     running sums of row n - 1 read backwards.  E(n, n) is the Euler zigzag
     number, the tangent number for odd n.
     """
-    while len(_tangents) < k:
+    if len(_triangle_row) > 2 * k:
+        _triangle_row[:] = [1]
+    while len(_triangle_row) < 2 * k:
         _triangle_row[:] = [0, *accumulate(reversed(_triangle_row))]
-        if len(_triangle_row) % 2 == 0:
-            _tangents.append(_triangle_row[-1])
-    return _tangents[k - 1]
+    return _triangle_row[-1]
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -78,9 +77,9 @@ def bernoulli(n: int) -> Rational:
 
         sum_{j=0..n} C(n+1, j) * B_j = n + 1
 
-    which pins B_1 to +1/2.  With this sign choice the power-sum polynomial
-    assembled from these numbers includes its upper summation bound, so no
-    correction term is needed downstream.  B_0 = 1, B_n = 0 for odd n > 1,
+    which pins B_1 to +1/2.  With this sign choice the power sums, whose z^1
+    coefficients are these numbers, include their upper summation bound, so
+    no correction term is needed downstream.  B_0 = 1, B_n = 0 for odd n > 1,
     and for n = 2k the tangent number E_{2k-1} gives
 
         B_{2k} = (-1)^(k-1) * 2k * E_{2k-1} / (4^k * (4^k - 1)).
@@ -101,14 +100,14 @@ def bernoulli(n: int) -> Rational:
 def _clear_bernoulli(clear=bernoulli.cache_clear) -> None:
     clear()
     _triangle_row[:] = [1]
-    _tangents.clear()
 
 
-# A cleared cache drops the triangle state with it, so a cold bernoulli(n)
-# starts again from row 0.  The wrap stays on the function itself, not in
-# engine's registry alone, so that every caller of bernoulli.cache_clear(),
-# the registry's clear_caches() and the benchmark's own clear among them,
-# drops the state too.
+# A cleared cache drops the triangle row with it, so a cold bernoulli(n) is
+# as cold as a first call and the row's memory is released; no value depends
+# on it, since every kept row is a true row of the triangle.  The wrap stays
+# on the function itself, not in engine's registry alone, so that every
+# caller of bernoulli.cache_clear(), the registry's clear_caches() and the
+# benchmark's own clear among them, drops the row too.
 bernoulli.cache_clear = _clear_bernoulli
 
 
@@ -130,13 +129,14 @@ def power_sum(p: int) -> tuple[int, tuple[int, ...]]:
 
     The row is built from S_{p-1} = (d, c) by S_p' = p * S_{p-1} + B_p:
     S_0 = z, and for p >= 1 the coefficient of z^k is p * c[k-1] / (d * k)
-    for k = 2..p + 1, and that of z^1 is B_p.  With g = gcd(p, d), each
-    entry is (p/g) * c[k-1] over (d/g) * k, reduced by its gcd with the
-    small k, and the row is written over the lcm of those denominators and
-    B_p's.  That row is reduced as it stands: S_{p-1} is reduced and p/g is
-    prime to d/g, so for each prime q of the lcm, an entry whose denominator
-    holds q as often as the lcm does has a numerator prime to q.  (Without
-    g, S_3 would give S_4 over 60, not 30.)
+    for k = 2..p + 1.  With g = gcd(p, d), each entry is (p/g) * c[k-1] over
+    (d/g) * k, reduced by its gcd with the small k, and the row is written
+    over the lcm of those denominators.  Since S_p(1) = 1, the z^1 numerator
+    is that lcm minus the sum of the others, so it is B_p over the same
+    denominator.  That row is reduced as it stands: S_{p-1} is reduced and
+    p/g is prime to d/g, so for each prime q of the lcm, an entry whose
+    denominator holds q as often as the lcm does has a numerator prime to q.
+    (Without g, S_3 would give S_4 over 60, not 30.)
 
     A cold ``power_sum(p)`` first fills S_0..S_{p-1} through this cache, in
     rising order, so a call recurses only one frame.  Since every miss does
@@ -160,11 +160,8 @@ def power_sum(p: int) -> tuple[int, tuple[int, ...]]:
             entries.append((k, c // h, k // h))
     common = lcm(*(d for _, _, d in entries))
     scale = den * common
-    b = bernoulli(p)
-    g = gcd(scale, b.denominator)
-    rest = b.denominator // g
     row = [0] * (p + 2)
-    row[1] = b.numerator * (scale // g)
     for k, n, d in entries:
-        row[k] = n * (common // d * rest)
-    return scale * rest, tuple(row)
+        row[k] = n * (common // d)
+    row[1] = scale - sum(row)
+    return scale, tuple(row)

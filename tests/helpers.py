@@ -10,8 +10,8 @@ arbitrate between the two.  ``load_corpus`` reads that corpus,
 generic polynomial-algebra routes that the library's closed-form solver and
 direct builder replaced; the differential tests hold the two routes equal.
 ``bernoulli_reference`` and ``solve_coeffs_reference`` are the
-``Fraction``-per-term recurrences that the tangent numbers of ``bernoulli``
-and the integer sum over one lcm of ``solve_coeffs`` replaced.
+``Fraction``-per-term recurrences that the tangent-number triangle of
+``bernoulli`` and the integer sum over one lcm of ``solve_coeffs`` replaced.
 ``power_sum_reference`` is the ``Fraction``-per-coefficient Faulhaber loop
 that the integer row ``power_sum`` replaced, and ``faulhaber_row_reference``
 the integer Faulhaber row, C(p+1, j) * B_j over one lcm with B_p fixed by

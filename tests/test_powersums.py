@@ -74,8 +74,7 @@ def test_power_sum_matches_reference_to_degree_200():
 def test_power_sum_matches_faulhaber_row_to_degree_400():
     # The Appell step against the Faulhaber row it replaced: reduced as it
     # stands, with no content divided out, and S_p(1) = 1, the recurrence
-    # that defines B_p, which holds each z^1 entry, read from the tangent
-    # numbers, to the rest of its Appell row.
+    # that defines B_p, from which the step writes its z^1 entry.
     for p in range(401):
         row = power_sum(p)
         assert row == faulhaber_row_reference(p), p
@@ -105,9 +104,9 @@ def test_power_sum_nonzero_degrees_to_degree_400():
 
 @pytest.mark.parametrize("first", ["power_sum", "bernoulli"])
 def test_power_sum_z1_entry_is_bernoulli(first):
-    # B_p is the z^1 coefficient of S_p, which power_sum reads from
-    # bernoulli(p), so the order in which the two caches fill must not
-    # matter.
+    # B_p is the z^1 coefficient of S_p.  power_sum fixes it by S_p(1) = 1
+    # and bernoulli reads it off the tangent-number triangle, two computations
+    # that share nothing, so they must agree whichever cache fills first.
     bernoulli.cache_clear()
     power_sum.cache_clear()
     if first == "power_sum":
@@ -136,8 +135,9 @@ def _recursion_depth():
 
 
 def test_cold_bernoulli_and_power_sum_recurse_a_few_frames():
-    # Each B_j reads only B_i with i < j, already cached when the row loop
-    # reaches j, so a cold call never recurses more than a few frames deep.
+    # bernoulli walks its triangle row in a loop and reads no other B_j, and
+    # a cold power_sum fills the rows below it in rising order through its
+    # cache, so a cold call never recurses more than a few frames deep.
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_recursion_depth() + 12)
     try:

@@ -18,9 +18,9 @@ reads.
 Only ``bipoly.py`` knows how a ``BiPoly`` stores its numerators: no other
 package module reads the attribute ``_den`` or ``_diags`` or imports
 ``_from_ints``, so a change of layout stays inside that one file.  Likewise
-only ``rationals.py`` names ``_triangle_row`` or ``_tangents``, the
-triangle state that ``bernoulli.cache_clear()`` drops, so no other module
-can keep or reset it behind that clear.
+only ``rationals.py`` names ``_triangle_row``, the triangle row that
+``bernoulli.cache_clear()`` drops, so no other module can keep or reset it
+behind that clear.
 
 An AST walk cannot tell who reads an operator (``a * b`` reads the same on
 two ``int`` as on two ``BiPoly``), so the dunders of ``BiPoly`` are checked by
@@ -139,7 +139,7 @@ def test_only_bipoly_reads_the_layout():
     assert [r for r in readers if r not in inside] == []
 
 
-TRIANGLE_STATE = ("_triangle_row", "_tangents")
+TRIANGLE_STATE = ("_triangle_row",)
 
 
 def test_only_rationals_names_the_triangle_state():

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import bernoulli_reference
@@ -122,20 +122,19 @@ def test_bernoulli_matches_fraction_recurrence():
 
 
 def test_cleared_bernoulli_rebuilds_the_triangle_from_row_0():
-    # The kept triangle goes with the cache: a row or tangent number left
-    # over, here a corrupted one, would make the cold call wrong.
+    # The kept row goes with the cache: a row left over, here a corrupted
+    # one below the row the cold call needs, would be extended and make the
+    # cold call wrong.
     reference = bernoulli_reference(40)
     try:
         bernoulli.cache_clear()
-        bernoulli(60)
+        bernoulli(20)
         oddpower_rationals._triangle_row[:] = [0] * len(oddpower_rationals._triangle_row)
-        oddpower_rationals._tangents[:] = [0] * len(oddpower_rationals._tangents)
         bernoulli.cache_clear()
-        assert oddpower_rationals._triangle_row == [1] and oddpower_rationals._tangents == []
+        assert oddpower_rationals._triangle_row == [1]
         assert bernoulli(40) == reference[40]
-        # Row 39, the one that holds E_39, and E_1, E_3, ..., E_39.
+        # Row 39, the one that holds E_39.
         assert len(oddpower_rationals._triangle_row) == 40
-        assert len(oddpower_rationals._tangents) == 20
     finally:
         bernoulli.cache_clear()
 
@@ -147,6 +146,39 @@ def test_cold_bernoulli_out_of_order():
     bernoulli.cache_clear()
     assert bernoulli(100) == reference[100]
     assert bernoulli(50) == reference[50]
+
+
+BERNOULLI_TO_200 = bernoulli_reference(200)
+
+# One call: the cached bernoulli, the uncached one under it, or a clear.
+bernoulli_calls = st.one_of(
+    st.tuples(st.sampled_from(["cached", "uncached"]), st.integers(0, 200)),
+    st.just(("clear", None)),
+)
+
+
+@given(st.lists(bernoulli_calls, max_size=8))
+# The kept row is exactly row 99, the one that holds E_99: no step.
+@example([("cached", 100), ("uncached", 100)])
+@example([("uncached", 100), ("uncached", 100)])
+# The kept row is row 101, the next one a call leaves (only odd rows are
+# kept), one past row 99: B_100 starts again from row 0.
+@example([("cached", 102), ("uncached", 100)])
+@example([("uncached", 102), ("cached", 100)])
+@example([("cached", 200), ("clear", None), ("uncached", 2), ("cached", 200)])
+def test_bernoulli_under_any_call_order(calls):
+    # The kept row is extended, kept or restarted by each call: whatever the
+    # order, each value is the recurrence's.
+    bernoulli.cache_clear()
+    try:
+        for kind, n in calls:
+            if kind == "clear":
+                bernoulli.cache_clear()
+            else:
+                call = bernoulli if kind == "cached" else bernoulli.__wrapped__
+                assert call(n) == BERNOULLI_TO_200[n], (kind, n)
+    finally:
+        bernoulli.cache_clear()
 
 
 def test_bernoulli_negative_raises():
