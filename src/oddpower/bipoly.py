@@ -38,10 +38,13 @@ Canonical term order, used for iteration and rendering: ascending total
 degree, ties broken by ascending z-degree, that is, the anti-diagonals in
 ascending order, each in ascending z-degree.  For two variables this is a
 total order on exponent pairs, so output is deterministic.  The order is
-sorted out of the small integer keys at each walk; nothing caches it.
-:func:`render` is the one walk behind all three renders, plain text
-(``str``), LaTeX and JSON, and the one place a coefficient is reduced to
-lowest terms for display.
+sorted out of the small integer keys at each walk; nothing keeps it.
+:func:`render` is the one function behind all three renders, plain text
+(``str``), LaTeX and JSON.  Its spelling step :func:`_spell` is the one
+place a coefficient is reduced to lowest terms for display; it keeps the
+decimal digits of the last polynomial rendered in one slot, matched on
+identity, which ``engine.clear_caches()`` releases.  The slot is replaced
+whole, so a ``BiPoly`` stays safe to render from several threads at once.
 
 Degrees must be non-negative ``int`` (checked by
 ``rationals._check_order``), and coefficients, scalar operands and
@@ -52,6 +55,7 @@ negative degree ``ValueError``.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -365,12 +369,89 @@ def _scaled_powers(value: Rational, degrees: list[int], top: int) -> Iterator[tu
 
 FORMATS: tuple[str, ...] = ("plain", "latex", "json")
 
-# The plain and LaTeX spellings of a term's pieces: a non-integer magnitude
-# from (numerator, denominator) and a power from (variable, exponent).
+# The plain and LaTeX spellings of a term's pieces: the opening, middle and
+# close of a non-integer magnitude around its numerator and denominator, and
+# a power from (variable, exponent).
 _SPELLINGS = {
-    "plain": ("{}/{}", "{}^{}"),
-    "latex": (r"\frac{{{}}}{{{}}}", "{}^{{{}}}"),
+    "plain": ("", "/", "", "{}^{}"),
+    "latex": ("\\frac{", "}{", "}", "{}^{{{}}}"),
 }
+
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _OneSlot:
+    """A memo of one entry for a function of one polynomial: the result for
+    the last polynomial it was called with, like ``lru_cache(maxsize=1)``
+    but matched on identity (``is``), so a call neither hashes nor compares
+    a polynomial.  The slot holds the polynomial itself, so its id cannot be
+    reused while the entry stands.  The slot is one tuple ``(poly,
+    result)``, replaced whole and read once, so concurrent callers each get
+    the result for their own polynomial; only the counts may then miss a
+    call.  A miss releases the old entry before it computes the new one, so
+    at most one result is held.  ``cache_clear`` and ``cache_info`` are
+    ``lru_cache``'s, and ``__wrapped__`` is the function."""
+
+    __slots__ = ("__wrapped__", "_slot", "_hits", "_misses")
+
+    def __init__(self, function):
+        self.__wrapped__ = function
+        self.cache_clear()
+
+    def __call__(self, poly: BiPoly):
+        slot = self._slot
+        if slot is not None and slot[0] is poly:
+            self._hits += 1
+            return slot[1]
+        self._misses += 1
+        self._slot = slot = None  # the old entry goes before the new one is made
+        result = self.__wrapped__(poly)
+        self._slot = (poly, result)
+        return result
+
+    def cache_clear(self) -> None:
+        self._slot = None
+        self._hits = self._misses = 0
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self._hits, self._misses, 1, 0 if self._slot is None else 1)
+
+
+@_OneSlot
+def _spell(poly: BiPoly) -> tuple[list[str], list[int], list[str]]:
+    """The decimal digits of ``poly``'s coefficients in lowest terms, in
+    canonical order: ``(magnitudes, codes, denominators)``.  Each term gets
+    the digits of its numerator's magnitude and a code, ``k`` for a
+    positive and ``~k`` for a negative coefficient over
+    ``denominators[k]``.  Each distinct denominator is spelled once,
+    ``"1"`` first, so an integer coefficient has the code 0 or ~0, and no
+    gcd is taken over a denominator of 1.  The exponents are not kept:
+    every render walks them from ``poly`` itself, which the slot holds."""
+    den, diags = poly._den, poly._diags
+    magnitudes: list[str] = []
+    codes: list[int] = []
+    index = {1: 0}  # reduced denominator -> k
+    for total in sorted(diags):
+        row = diags[total]
+        for dz in sorted(row):
+            num, d = row[dz], den
+            if d != 1 and (g := gcd(num, d)) != 1:
+                num //= g
+                d //= g
+            k = index[d] if d in index else index.setdefault(d, len(index))
+            if num < 0:
+                magnitudes.append(str(-num))
+                codes.append(~k)
+            else:
+                magnitudes.append(str(num))
+                codes.append(k)
+    return magnitudes, codes, [str(d) for d in index]
+
+
+def _signed(positive: list[str], negative: list[str]) -> list[str]:
+    """One table for both signs: the code ``k`` reads ``positive[k]`` from
+    it and ``~k``, as a negative index, reads ``negative[k]``."""
+    return positive + negative[::-1]
 
 
 def render(poly: BiPoly, fmt: str) -> str:
@@ -380,66 +461,86 @@ def render(poly: BiPoly, fmt: str) -> str:
     ``{"terms":[{"dx":i,"dz":j,"c":"<num>/<den>"}, ...]}``; any other
     ``fmt`` raises ``ValueError``.
 
-    One walk of the anti-diagonals in canonical order reduces each
-    coefficient to lowest terms, taking no gcd over a denominator of 1, and
-    spells the term in the one format, so equal polynomials render to the
-    same bytes.  JSON is written with f-strings, not with the ``json``
-    module: the keys are fixed and every value is an ``int`` or a
-    ``"<num>/<den>"`` string of digits, a slash and at most a leading minus,
-    so nothing needs escaping; each term is followed by a comma but the
-    last.  Plain and LaTeX join signed terms, and differ only in their two
-    :data:`_SPELLINGS`.  Each power of x and of z that a term uses is spelled
-    once per call into a table keyed by the exponent with a leading space
-    (``""``, ``" x"``, ``" x^2"``, ...), so ``x^1000000`` spells one
-    exponent, not a million: the z-degrees are the keys of the rows, so their
-    table is filled from the union of those keys, and each x-degree on its
-    first use.  A term is then its sign, read from the reduced numerator,
-    one ``str`` of that numerator's magnitude, and one concatenation with
-    the two table entries."""
+    Two steps.  :func:`_spell` reduces each coefficient to lowest terms
+    and spells its digits, and keeps them for the last polynomial rendered
+    in its one slot, so rendering the same object again, in any format,
+    takes no gcd and no ``str`` of a numerator.  A join per format then
+    walks the anti-diagonals in canonical order and appends the kept digit
+    strings themselves, each between two short pieces read from tables
+    indexed by the term's code, so equal polynomials render to the same
+    bytes and no term's digits are copied before the final join."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
-    den, diags = poly._den, poly._diags
-    json = fmt == "json"
-    if not json:
-        fraction, power = _SPELLINGS[fmt]
-        xs = {0: "", 1: " x"}
-        zs = {j: " " + power.format("z", j) for j in set().union(*diags.values())}
-        zs.update({0: "", 1: " z"})
-    # JSON writes its whole text as parts of one join, so that no second
-    # copy of the terms is held while the text is formed.
-    parts: list[str] = ['{"terms":['] if json else []
+    if fmt == "json":
+        return _join_json(poly._diags, *_spell(poly))
+    return _join_signed(poly._diags, *_spell(poly), _SPELLINGS[fmt])
+
+
+def _join_json(diags: _Diagonals, magnitudes: list[str], codes: list[int],
+               denominators: list[str]) -> str:
+    """The JSON text, written with string pieces, not with the ``json``
+    module: the keys are fixed and every value is an ``int`` or a
+    ``"<num>/<den>"`` string of digits, a slash and at most a leading minus,
+    so nothing needs escaping.  A term is its head ``{"dx":i,"dz":j,"c":"``
+    with the minus, from one table per exponent, its digits and the tail
+    ``/<den>"},`` of its denominator; the last comma is cut."""
+    xs: dict[int, str] = {}
+    zs = {j: f'{j},"c":"' for j in set().union(*diags.values())}
+    minus = _signed([""] * len(denominators), ["-"] * len(denominators))
+    tails = [f'/{d}"}},' for d in denominators]
+    tails = _signed(tails, tails)
+    parts = ['{"terms":[']
     append = parts.append
+    terms = zip(magnitudes, codes)
     for total in sorted(diags):
-        row = diags[total]
-        for dz in sorted(row):
-            num, d = row[dz], den
-            if d != 1 and (g := gcd(num, d)) != 1:
-                num //= g
-                d //= g
+        for dz, (magnitude, code) in zip(sorted(diags[total]), terms):
             dx = total - dz
-            if json:
-                append(f'{{"dx":{dx},"dz":{dz},"c":"{num}/{d}"}},')
-                continue
-            if num < 0:
-                append(" - ")
-                num = -num
-            else:
-                append(" + ")
+            head = xs.get(dx) or xs.setdefault(dx, f'{{"dx":{dx},"dz":')
+            append(head + zs[dz] + minus[code])
+            append(magnitude)
+            append(tails[code])
+    parts[-1] = parts[-1].removesuffix(",")
+    append("]}")
+    return "".join(parts)
+
+
+def _join_signed(diags: _Diagonals, magnitudes: list[str], codes: list[int],
+                 denominators: list[str], spelling: tuple[str, str, str, str]) -> str:
+    """Plain text or LaTeX, which differ only in their :data:`_SPELLINGS`:
+    signed terms, each the sign with the opening of a fraction, the digits,
+    and the rest of the fraction with the monomial.  Each power of x and
+    of z that a term uses is spelled once per call into a table keyed by
+    the exponent with a leading space (``""``, ``" x"``, ``" x^2"``, ...),
+    so ``x^1000000`` spells one exponent, not a million: the z-degrees are
+    the keys of the rows, so their table is filled from the union of those
+    keys, and each x-degree on its first use.  An integer coefficient of
+    magnitude 1 is left out before a monomial."""
+    opening, middle, close, power = spelling
+    xs = {0: "", 1: " x"}
+    zs = {j: " " + power.format("z", j) for j in set().union(*diags.values())}
+    zs.update({0: "", 1: " z"})
+    fractions = [""] + [middle + d + close for d in denominators[1:]]
+    before = _signed([" + "] + [" + " + opening] * (len(fractions) - 1),
+                     [" - "] + [" - " + opening] * (len(fractions) - 1))
+    after = _signed(fractions, fractions)
+    parts: list[str] = []
+    append = parts.append
+    terms = zip(magnitudes, codes)
+    for total in sorted(diags):
+        for dz, (magnitude, code) in zip(sorted(diags[total]), terms):
+            dx = total - dz
             try:
                 monomial = xs[dx] + zs[dz]
             except KeyError:  # the first term of this x-degree
                 monomial = xs.setdefault(dx, " " + power.format("x", dx)) + zs[dz]
-            if d != 1:
-                append(fraction.format(num, d) + monomial)
-            elif num == 1 and monomial:
+            append(before[code])
+            if magnitude == "1" and monomial and code in (0, ~0):
                 append(monomial[1:])
             else:
-                append(f"{num}{monomial}")
-    if json:
-        parts[-1] = parts[-1].removesuffix(",")
-        append("]}")
-        return "".join(parts)
+                append(magnitude)
+                append(after[code] + monomial)
     if not parts:
         return "0"
-    parts[0] = "-" if parts[0] == " - " else ""
+    first = parts[0]  # " + " or " - ", with the opening of a fraction
+    parts[0] = first[3:] if first[1] == "+" else "-" + first[3:]
     return "".join(parts)

@@ -34,9 +34,10 @@ y = 64), since every caller but evaluation reads a partial sum once per
 order.  Evaluation reads the partial sum's diagonal again and again, so
 ``_derivative_diagonal`` keeps each order's diagonal, one term when the
 identity holds.  ``_CACHES`` is the one registry of the package's caches,
-from ``bernoulli`` to those diagonals in pipeline order, and
-``clear_caches()`` releases them all, the kept diagonals and the Bernoulli
-triangle state included.
+from ``bernoulli`` to those diagonals in pipeline order, then the render
+slot ``bipoly._spell``, and ``clear_caches()`` releases them all, the kept
+diagonals, the Bernoulli triangle state and the last render's digits
+included.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from functools import lru_cache
 from math import comb, gcd, lcm
 from typing import NamedTuple, Sequence
 
-from .bipoly import BiPoly, _as_rational, _from_rows, _partial_sum
+from .bipoly import BiPoly, _as_rational, _from_rows, _partial_sum, _spell
 from .coefficients import solve_coeffs
 from .rationals import Rational, _check_order, bernoulli, power_sum
 
@@ -191,14 +192,14 @@ def eval_derivative_at(y: int, u: int | Rational) -> Rational:
     return _derivative_diagonal(y)(u, u)
 
 
-# Every cached layer, in pipeline order; a test holds it equal to the
-# package's lru_caches.
+# Every cached layer, in pipeline order, and the render slot; a test holds
+# it equal to the package's lru_caches and its named other kept state.
 _CACHES = (bernoulli, power_sum, solve_coeffs, conv_sum, build_poly, derivative_sum,
-           _derivative_diagonal)
+           _derivative_diagonal, _spell)
 
 
 def clear_caches() -> None:
-    """Release every kept result: each cache in ``_CACHES``, and with
-    ``bernoulli``'s the Bernoulli triangle state."""
+    """Release every kept result: each cache in ``_CACHES``, with
+    ``bernoulli``'s the Bernoulli triangle state, and the render slot."""
     for cached in _CACHES:
         cached.cache_clear()

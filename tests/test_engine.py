@@ -239,8 +239,9 @@ RENDER_DIGESTS = json.loads(
 
 
 def test_clear_caches_empties_every_registered_cache(capsys):
-    # Fill every cache, the kept diagonals and the Bernoulli triangle too;
-    # verify first, since it clears build_poly and derivative_sum per row.
+    # Fill every cache, the kept diagonals, the Bernoulli triangle and the
+    # render slot too; verify first, since it clears build_poly and
+    # derivative_sum per row.
     assert main(["verify", "--max-y", "8"]) == 0
     capsys.readouterr()
     conv_sum(8)
@@ -248,6 +249,7 @@ def test_clear_caches_empties_every_registered_cache(capsys):
         build_poly(y)
     for y in (3, 24, 64):
         eval_derivative_at(y, Rational(-3, 7))
+    render(build_poly(8), "plain")  # the render slot
     assert all(cached.cache_info().currsize for cached in engine._CACHES)
     assert len(rationals._triangle_row) >= 128
 

@@ -43,7 +43,10 @@ def test_power_sum_matches_literal_sum(p):
 def test_power_sum_boundary_values(p):
     den, coeffs = power_sum(p)
     assert coeffs[0] == 0  # S_p(0) = 0
-    assert sum(coeffs) == den  # S_p(1) = 1
+    assert sum(coeffs) == den  # S_p(1) = 1, which holds by construction of the z^1 entry
+    # S_p(-1) = S_p(0) - 0^p by S_p(z) - S_p(z - 1) = z^p: 0 for p >= 1 and
+    # -1 for p = 0, the z^1 entry checked a second way.
+    assert sum(c if k % 2 == 0 else -c for k, c in enumerate(coeffs)) == (-den if p == 0 else 0)
 
 
 @pytest.mark.parametrize("p", range(16))
@@ -74,13 +77,17 @@ def test_power_sum_matches_reference_to_degree_200():
 def test_power_sum_matches_faulhaber_row_to_degree_400():
     # The Appell step against the Faulhaber row it replaced: reduced as it
     # stands, with no content divided out, and S_p(1) = 1, the recurrence
-    # that defines B_p, from which the step writes its z^1 entry.
+    # that defines B_p, from which the step writes its z^1 entry.  So
+    # S_p(1) = 1 holds by construction; S_p(-1) = S_p(0) - 0^p = 0 for
+    # p >= 1, from S_p(z) - S_p(z - 1) = z^p, does not.
     for p in range(401):
         row = power_sum(p)
         assert row == faulhaber_row_reference(p), p
         assert_reduced_row(row, p + 2)
         den, coeffs = row
-        assert sum(coeffs) == den, p
+        assert sum(coeffs) == den, p  # holds by construction of the z^1 entry
+        if p:  # S_p(-1) = 0, the z^1 entry checked a second way
+            assert sum(c if k % 2 == 0 else -c for k, c in enumerate(coeffs)) == 0, p
 
 
 def test_cold_power_sums_out_of_order():

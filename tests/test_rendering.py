@@ -1,9 +1,12 @@
-"""Renderer output: canonical ordering, exact bytes, JSON schemas.
+"""Renderer output: canonical ordering, exact bytes, JSON schemas, and the
+one-slot memo of the last polynomial's spelled digits.
 
 The coefficient row's JSON is written by ``oddpower coeffs <m> --format json``,
 so its tests run the CLI."""
 
 import json
+import sys
+import threading
 
 import pytest
 from hypothesis import example, given
@@ -16,11 +19,13 @@ from helpers import (
     render_json_reference,
     render_latex_reference,
     render_plain_reference,
+    traced_peak,
+    traced_retained,
 )
-from oddpower.bipoly import FORMATS, BiPoly, render
+from oddpower.bipoly import FORMATS, BiPoly, _spell, render
 from oddpower.cli import main
 from oddpower.coefficients import solve_coeffs
-from oddpower.engine import build_poly, derivative_sum
+from oddpower.engine import build_poly, clear_caches, derivative_sum
 from oddpower.rationals import Rational
 
 
@@ -180,3 +185,125 @@ def test_family_renders_match_reference_formatters(y):
         assert render(poly, "plain") == render_plain_reference(poly)
         assert render(poly, "latex") == render_latex_reference(poly)
         assert render(poly, "json") == render_json_reference(poly)
+
+
+REFERENCES = {
+    "plain": render_plain_reference,
+    "latex": render_latex_reference,
+    "json": render_json_reference,
+}
+
+# Two equal but distinct objects, the zero polynomial, a negative constant
+# and a polynomial with fractions of both signs.
+SLOT_POOL = [
+    F1,
+    BiPoly({(dx, dz): c for dx, dz, c in F1.terms()}),
+    BiPoly(),
+    BiPoly.constant(-3),
+    BiPoly({(0, 1): Rational(1, 2), (1, 1): -1, (0, 2): Rational(-3, 2), (4, 0): Rational(5, 6)}),
+]
+slot_steps = st.lists(
+    st.one_of(st.none(), st.tuples(st.integers(0, len(SLOT_POOL) - 1), st.sampled_from(FORMATS))),
+    max_size=20,
+)
+
+
+@given(steps=slot_steps)
+@example(steps=[(0, "plain"), (1, "json"), (0, "latex"), (0, "json")])
+@example(steps=[(2, "json"), None, (2, "plain"), (3, "latex"), (3, "plain")])
+def test_render_slot_matches_reference_under_any_call_order(steps):
+    # None clears every cache.  A render of the object rendered last is a
+    # hit; any other object, an equal one included, is a miss.
+    clear_caches()
+    last, hits, misses = None, 0, 0
+    for step in steps:
+        if step is None:
+            clear_caches()
+            last, hits, misses = None, 0, 0
+            continue
+        poly, fmt = SLOT_POOL[step[0]], step[1]
+        assert render(poly, fmt) == REFERENCES[fmt](poly)
+        if poly is last:
+            hits += 1
+        else:
+            last, misses = poly, misses + 1
+        assert _spell.cache_info() == (hits, misses, 1, int(last is not None))
+
+
+def test_render_slot_is_not_fooled_by_a_reused_id():
+    # Each polynomial is dropped as soon as it is rendered; the slot keeps
+    # the last one alive, so the next cannot take its id.
+    for n in range(-50, 50):
+        assert render(BiPoly.constant(n), "plain") == str(n)
+
+
+def test_render_slot_spells_once_per_polynomial():
+    poly = build_poly(12)
+    _spell.cache_clear()
+    texts = [render(poly, fmt) for fmt in FORMATS]
+    assert str(poly) == texts[0]
+    assert repr(poly) == f"BiPoly({texts[0]!r})"
+    assert _spell.cache_info() == (4, 1, 1, 1)
+    clear_caches()
+    assert _spell.cache_info() == (0, 0, 1, 0)
+
+
+def test_render_slot_is_safe_across_threads():
+    # Two threads render two polynomials, each in two formats, switching as
+    # often as the interpreter allows; every text must be its own.
+    polys = [build_poly(16), derivative_sum(13)]
+    jobs = [(polys[0], ("plain", "json")), (polys[1], ("latex", "plain"))]
+    expected = {(id(poly), fmt): REFERENCES[fmt](poly) for poly, fmts in jobs for fmt in fmts}
+    wrong = []
+
+    def work(poly, fmts):
+        for i in range(150):
+            fmt = fmts[i % 2]
+            if render(poly, fmt) != expected[id(poly), fmt]:
+                wrong.append(fmt)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=job) for job in jobs]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+
+
+def test_render_slot_holds_the_digits_of_one_polynomial():
+    # The slot keeps one polynomial's digits: f_64's magnitude strings are
+    # 0.55 MiB, and the codes and the slot add about 0.06 MiB.  Rendering
+    # f_40 before f_64 must leave no more held than a constant first does,
+    # and, since a miss drops f_40's digits before it spells f_64, the
+    # spelling may peak no higher.  Each comparison allows 4 KiB for the
+    # interpreter's free lists, which moved identical runs by up to 236
+    # bytes; f_40's digits are about 0.2 MiB.  The first measurement only
+    # warms the interpreter up.
+    f40, f64 = build_poly(40), build_poly(64)
+
+    def measured(traced, step, first):
+        _spell.cache_clear()
+
+        def compute():
+            step(first)
+            step(f64)
+
+        return traced(compute)[1]
+
+    def render_json(poly):
+        render(poly, "json")
+
+    measured(traced_retained, render_json, BiPoly.constant(1))
+    held = measured(traced_retained, render_json, BiPoly.constant(1))
+    assert held <= 0.7 * 2**20
+    assert measured(traced_retained, render_json, f40) <= held + 2**12
+    peak = measured(traced_peak, _spell, BiPoly.constant(1))
+    assert measured(traced_peak, _spell, f40) <= peak + 2**12
+    clear_caches()
+    assert _spell.cache_info().currsize == 0
